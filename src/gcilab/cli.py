@@ -130,10 +130,23 @@ def _load_hpoly(path, seed, offset=0):
 
 
 def _parse_widening(text) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise _UsageError(f"--a must be a number or inf, got {text!r}") from None
     if not (value > 0):
         raise _UsageError("--a must be positive (inf allowed)")
     return value
+
+
+def _parse_direction(text) -> np.ndarray:
+    try:
+        direction = np.array([float(tok) for tok in text.split(",")])
+    except ValueError:
+        direction = np.array([])
+    if direction.shape != (2,) or not np.all(np.isfinite(direction)):
+        raise _UsageError(f"--direction must be two finite numbers x,y, got {text!r}")
+    return direction
 
 
 def _emit(args, payload: dict, human_lines: list[str]) -> None:
@@ -221,7 +234,7 @@ def _run_check(args) -> int:
             return _finish_report(args, ineqlab.check_slab(
                 band, args.index, width, args.budget, args.seed, args.replicates))
         p = _load_polygon(args.polygon, args.seed)
-        direction = np.array([float(tok) for tok in args.direction.split(",")])
+        direction = _parse_direction(args.direction)
         budget = max(args.budget, 10_000)
         return _finish_report(args, ineqlab.check_slab(
             p, direction, width, budget, args.seed, args.replicates))

@@ -9,6 +9,10 @@ class MalformedInput(GciLabError):
     """File or literal input could not be parsed (ragged CSV rows, bad tokens)."""
 
 
+class NotFinite(GciLabError):
+    """Numeric input holds a NaN or an infinity where finite values are required."""
+
+
 class NotSymmetric(GciLabError):
     """Matrix or body fails a required symmetry check."""
 

@@ -18,6 +18,7 @@ from .errors import (
     InvalidBounds,
     InvalidDimension,
     MalformedInput,
+    NotFinite,
     NotPSD,
     NotSymmetric,
 )
@@ -25,6 +26,12 @@ from .errors import (
 SYMMETRY_TOL = 1e-10
 PIVOT_TOL = 1e-10
 GRAM_TOL = 1e-10
+
+
+def _require_finite(a: np.ndarray) -> None:
+    # NaN slips through every tolerance comparison below, so reject it up front.
+    if not np.all(np.isfinite(a)):
+        raise NotFinite("covariance entries and factor rows must be finite")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -45,6 +52,8 @@ class CorrelationModel:
         rows = _frozen(np.atleast_2d(self.factor_rows))
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "factor_rows", rows)
+        _require_finite(sigma)
+        _require_finite(rows)
         n = sigma.shape[0]
         if sigma.shape != (n, n):
             raise NotSymmetric("covariance matrix must be square")
@@ -123,9 +132,11 @@ def from_covariance(matrix) -> CorrelationModel:
     """Build a model from a symmetric PSD matrix via pivoted Cholesky.
 
     Rank is detected at pivot tolerance 1e-10, so rank-deficient covariances
-    yield factor rows in a strictly lower-dimensional space.
+    yield factor rows in a strictly lower-dimensional space. NaN or infinite
+    entries raise ``NotFinite``.
     """
     a = np.atleast_2d(np.asarray(matrix, dtype=float))
+    _require_finite(a)
     n = a.shape[0]
     if a.shape != (n, n):
         raise NotSymmetric("covariance matrix must be square")

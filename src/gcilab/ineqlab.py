@@ -47,6 +47,7 @@ from .measure import gauss_measure_mc, minkowski_measure_mc
 from .mvnprob import ProbabilityEstimate, _as_seed_sequence, sym_interval_prob, symmetric_rect_prob
 
 CLOSED_TOL = 1e-12
+GEOM_EQ_TOL = 1e-12
 RS_TOL = 1e-9
 SUPPORTED = "supported"
 VIOLATED = "violated"
@@ -129,7 +130,7 @@ class InequalityReport:
     def to_json_dict(self) -> dict:
         return {
             "label": self.label,
-            "instance": _sanitize(self.instance),
+            "instance": json_safe(self.instance),
             "lhs": {"value": self.lhs.value, "stderr": self.lhs.stderr},
             "rhs": {"value": self.rhs.value, "stderr": self.rhs.stderr},
             "margin": self.margin,
@@ -172,14 +173,14 @@ REPORT_SCHEMA = {
 }
 
 
-def _sanitize(obj):
+def json_safe(obj):
     """JSON-safe copy: arrays to lists, infinities to the string 'inf'."""
     if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
+        return {k: json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
+        return [json_safe(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
+        return json_safe(obj.tolist())
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
         if math.isinf(x):
@@ -190,18 +191,53 @@ def _sanitize(obj):
     return obj
 
 
-def _finish(label, instance, lhs: Estimate, rhs: Estimate, seed, budget, t0) -> InequalityReport:
-    margin = lhs.value - rhs.value
-    stderr = math.hypot(lhs.stderr, rhs.stderr)
+def _measure(body, budget: int, seed, replicates: int) -> Estimate:
+    """Gaussian measure of one body term: the single body-to-estimator dispatch.
+
+    Bands go to the QMC rectangle engine, a Minkowski-sum pair ``(K, T)`` to
+    Monte Carlo with sum membership, polygons and H-polytopes to Monte Carlo
+    membership.
+    """
+    if isinstance(body, SymmetricBand):
+        return Estimate.of(symmetric_rect_prob(body.model, body.c, budget, seed, replicates))
+    if isinstance(body, tuple):
+        k, t = body
+        return Estimate.of(minkowski_measure_mc(k, t, k.dim, budget, seed))
+    dim = 2 if isinstance(body, Polygon2D) else body.dim
+    return Estimate.of(gauss_measure_mc(body, dim, budget, seed))
+
+
+def _evaluate(label, instance, lhs, rhs, budget, seed, replicates: int = 12) -> InequalityReport:
+    """Measure both sides of prod(lhs) >= prod(rhs) and classify the margin.
+
+    A term is a closed-form ``Estimate`` or a body for ``_measure``. Each body
+    term gets its own child of ``seed``, spawned in declared order, LHS first;
+    each side is the ``Estimate.times`` product of its terms. A comparison
+    without body terms may pass ``seed=None``.
+    """
+    t0 = time.perf_counter()
+    closed = all(isinstance(term, Estimate) for term in (*lhs, *rhs))
+    seed_seq, seed_int = (None, None) if seed is None and closed else _as_seed_sequence(seed)
+    sides = []
+    for terms in (lhs, rhs):
+        product = Estimate(1.0, 0.0)
+        for term in terms:
+            if not isinstance(term, Estimate):
+                term = _measure(term, budget, seed_seq.spawn(1)[0], replicates)
+            product = product.times(term)
+        sides.append(product)
+    lhs_product, rhs_product = sides
+    margin = lhs_product.value - rhs_product.value
+    stderr = math.hypot(lhs_product.stderr, rhs_product.stderr)
     return InequalityReport(
         label=label,
         instance=instance,
-        lhs=lhs,
-        rhs=rhs,
+        lhs=lhs_product,
+        rhs=rhs_product,
         margin=margin,
         stderr=stderr,
         verdict=classify(margin, stderr),
-        seed=seed,
+        seed=seed_int,
         budget=budget,
         runtime_ms=(time.perf_counter() - t0) * 1e3,
     )
@@ -215,10 +251,6 @@ def _marginal(model: CorrelationModel, i: int, t: float) -> Estimate:
     return Estimate(sym_interval_prob(t / sd), CLOSED_TOL)
 
 
-def _joint(model, c: ThresholdVector, budget, seed, replicates) -> Estimate:
-    return Estimate.of(symmetric_rect_prob(model, c, budget, seed, replicates))
-
-
 def _instance_dict(model: CorrelationModel, **extra) -> dict:
     inst = {"sigma": model.sigma.tolist()}
     inst.update(extra)
@@ -229,17 +261,15 @@ def _instance_dict(model: CorrelationModel, **extra) -> dict:
 # Probabilistic checkers
 # ---------------------------------------------------------------------------
 
+def _sidak_terms(model: CorrelationModel, c: ThresholdVector):
+    return [SymmetricBand(model, c)], [_marginal(model, i, c[i]) for i in range(model.size)]
+
+
 def check_sidak(model: CorrelationModel, c: ThresholdVector,
                 budget: int = 1 << 14, seed=0, replicates: int = 12) -> InequalityReport:
     """Sidak-Khatri: Pr(|X_i| <= c_i for all i) >= prod_i Pr(|X_i| <= c_i)."""
-    t0 = time.perf_counter()
-    seed_seq, seed_int = _as_seed_sequence(seed)
-    lhs = _joint(model, c, budget, seed_seq.spawn(1)[0], replicates)
-    rhs = Estimate(1.0, 0.0)
-    for i in range(model.size):
-        rhs = rhs.times(_marginal(model, i, c[i]))
-    inst = _instance_dict(model, c=c.as_array)
-    return _finish("sidak", inst, lhs, rhs, seed_int, budget, t0)
+    return _evaluate("sidak", _instance_dict(model, c=c.as_array), *_sidak_terms(model, c),
+                     budget, seed, replicates)
 
 
 def check_refined_sidak(model: CorrelationModel, c: ThresholdVector, a: float,
@@ -256,16 +286,10 @@ def check_refined_sidak(model: CorrelationModel, c: ThresholdVector, a: float,
         raise InvalidParameters("widening a must be positive (inf allowed)")
     if not (0 <= index < model.size):
         raise InvalidParameters("index out of range")
-    t0 = time.perf_counter()
-    seed_seq, seed_int = _as_seed_sequence(seed)
-    s_joint, s_wide = seed_seq.spawn(2)
-    widened = c.widened(a, index)
-    lhs = _marginal(model, index, c[index] + a).times(
-        _joint(model, c, budget, s_joint, replicates))
-    rhs = _marginal(model, index, c[index]).times(
-        _joint(model, widened, budget, s_wide, replicates))
+    lhs = [_marginal(model, index, c[index] + a), SymmetricBand(model, c)]
+    rhs = [_marginal(model, index, c[index]), SymmetricBand(model, c.widened(a, index))]
     inst = _instance_dict(model, c=c.as_array, a=a, index=index)
-    return _finish("refined-sidak", inst, lhs, rhs, seed_int, budget, t0)
+    return _evaluate("refined-sidak", inst, lhs, rhs, budget, seed, replicates)
 
 
 def sidak_ratio(model: CorrelationModel, c: ThresholdVector,
@@ -276,12 +300,8 @@ def sidak_ratio(model: CorrelationModel, c: ThresholdVector,
     Coordinates with infinite thresholds contribute a factor 1 to both sides,
     dropping out of the ratio.
     """
-    seed_seq, _ = _as_seed_sequence(seed)
-    joint = _joint(model, c, budget, seed_seq.spawn(1)[0], replicates)
-    prod = Estimate(1.0, 0.0)
-    for i in range(model.size):
-        prod = prod.times(_marginal(model, i, c[i]))
-    return joint.over(prod)
+    rep = _evaluate("sidak", {}, *_sidak_terms(model, c), budget, seed, replicates)
+    return rep.lhs.over(rep.rhs)
 
 
 def check_royen(model: CorrelationModel, c: ThresholdVector, split: int,
@@ -294,17 +314,16 @@ def check_royen(model: CorrelationModel, c: ThresholdVector, split: int,
     n = model.size
     if not (1 <= split < n):
         raise InvalidParameters(f"split must satisfy 1 <= k < n, got {split}")
-    t0 = time.perf_counter()
-    seed_seq, seed_int = _as_seed_sequence(seed)
-    s_all, s_head, s_tail = seed_seq.spawn(3)
     bounds = c.as_array
-    head = model.submodel(range(split))
-    tail = model.submodel(range(split, n))
-    lhs = _joint(model, c, budget, s_all, replicates)
-    rhs = _joint(head, ThresholdVector(bounds[:split]), budget, s_head, replicates).times(
-        _joint(tail, ThresholdVector(bounds[split:]), budget, s_tail, replicates))
+    rhs = [SymmetricBand(model.submodel(range(split)), ThresholdVector(bounds[:split])),
+           SymmetricBand(model.submodel(range(split, n)), ThresholdVector(bounds[split:]))]
     inst = _instance_dict(model, c=bounds, split=split)
-    return _finish("royen", inst, lhs, rhs, seed_int, budget, t0)
+    return _evaluate("royen", inst, [SymmetricBand(model, c)], rhs, budget, seed, replicates)
+
+
+def _strong_terms(model: CorrelationModel, s: ThresholdVector, t: ThresholdVector):
+    return ([SymmetricBand(model, s.plus(t)), SymmetricBand(model, s.minimum(t))],
+            [SymmetricBand(model, s), SymmetricBand(model, t)])
 
 
 def check_strong_gci_bands(model: CorrelationModel, s: ThresholdVector,
@@ -316,15 +335,9 @@ def check_strong_gci_bands(model: CorrelationModel, s: ThresholdVector,
     arithmetic inf + x = inf and min(inf, x) = x. This is a conjecture:
     a violated verdict is a finding, not a failure.
     """
-    t0 = time.perf_counter()
-    seed_seq, seed_int = _as_seed_sequence(seed)
-    s1, s2, s3, s4 = seed_seq.spawn(4)
-    lhs = _joint(model, s.plus(t), budget, s1, replicates).times(
-        _joint(model, s.minimum(t), budget, s2, replicates))
-    rhs = _joint(model, s, budget, s3, replicates).times(
-        _joint(model, t, budget, s4, replicates))
     inst = _instance_dict(model, s=s.as_array, t=t.as_array)
-    return _finish("strong-gci-bands", inst, lhs, rhs, seed_int, budget, t0)
+    return _evaluate("strong-gci-bands", inst, *_strong_terms(model, s, t),
+                     budget, seed, replicates)
 
 
 # ---------------------------------------------------------------------------
@@ -338,17 +351,9 @@ def check_strong_gci_2d(p: Polygon2D, q: Polygon2D, budget: int = 1 << 17,
     gamma(P + Q) * gamma(P inter Q) >= gamma(P) * gamma(Q), all four measures
     by Monte Carlo membership sampling.
     """
-    t0 = time.perf_counter()
-    seed_seq, seed_int = _as_seed_sequence(seed)
-    s1, s2, s3, s4 = seed_seq.spawn(4)
-    total = polygon_minkowski_sum(p, q)
-    inter = intersect_polygons(p, q)
-    lhs = Estimate.of(gauss_measure_mc(total, 2, budget, s1)).times(
-        Estimate.of(gauss_measure_mc(inter, 2, budget, s2)))
-    rhs = Estimate.of(gauss_measure_mc(p, 2, budget, s3)).times(
-        Estimate.of(gauss_measure_mc(q, 2, budget, s4)))
+    lhs = [polygon_minkowski_sum(p, q), intersect_polygons(p, q)]
     inst = {"p": p.vertices, "q": q.vertices}
-    return _finish("strong-gci-2d", inst, lhs, rhs, seed_int, budget, t0)
+    return _evaluate("strong-gci-2d", inst, lhs, [p, q], budget, seed)
 
 
 def check_slab(body, direction, width: float, budget: int = 1 << 16,
@@ -361,25 +366,20 @@ def check_slab(body, direction, width: float, budget: int = 1 << 16,
     form. For a band K, ``direction`` is a constraint index j and the hull
     factor is the threshold bound Pr(|X_j| <= max(c_j, width)).
     """
-    if width <= 0:
+    if not (width > 0):
         raise InvalidParameters("slab width must be positive")
-    t0 = time.perf_counter()
-    seed_seq, seed_int = _as_seed_sequence(seed)
 
     if isinstance(body, SymmetricBand):
         j = int(direction)
         if not (0 <= j < body.model.size):
             raise InvalidParameters("slab index out of range")
-        c = body.c
+        model, c = body.model, body.c
         hi, lo = max(c[j], width), min(c[j], width)
-        s1, s2 = seed_seq.spawn(2)
         narrowed = ThresholdVector(np.where(np.arange(len(c)) == j, lo, c.as_array))
-        lhs = _marginal(body.model, j, hi).times(
-            _joint(body.model, narrowed, budget, s1, replicates))
-        rhs = _joint(body.model, c, budget, s2, replicates).times(
-            _marginal(body.model, j, width))
-        inst = _instance_dict(body.model, c=c.as_array, index=j, width=width)
-        return _finish("slab", inst, lhs, rhs, seed_int, budget, t0)
+        lhs = [_marginal(model, j, hi), SymmetricBand(model, narrowed)]
+        rhs = [body, _marginal(model, j, width)]
+        inst = _instance_dict(model, c=c.as_array, index=j, width=width)
+        return _evaluate("slab", inst, lhs, rhs, budget, seed, replicates)
 
     if not isinstance(body, Polygon2D):
         raise DimensionMismatch("slab check expects a Polygon2D or a SymmetricBand")
@@ -388,17 +388,12 @@ def check_slab(body, direction, width: float, budget: int = 1 << 16,
     if norm <= 0:
         raise InvalidParameters("slab direction must be nonzero")
     u = u / norm
-    hull_halfwidth = max(body.support(u), width)
-    hull_measure = Estimate(sym_interval_prob(hull_halfwidth), CLOSED_TOL)
+    hull_measure = Estimate(sym_interval_prob(max(body.support(u), width)), CLOSED_TOL)
     slab_measure = Estimate(sym_interval_prob(width), CLOSED_TOL)
     verts = clip_halfplane(body.vertices, u, width)
-    verts = clip_halfplane(verts, -u, width)
-    inter = Polygon2D.from_points(verts)
-    s1, s2 = seed_seq.spawn(2)
-    lhs = hull_measure.times(Estimate.of(gauss_measure_mc(inter, 2, budget, s1)))
-    rhs = Estimate.of(gauss_measure_mc(body, 2, budget, s2)).times(slab_measure)
+    inter = Polygon2D.from_points(clip_halfplane(verts, -u, width))
     inst = {"k": body.vertices, "direction": u, "width": width}
-    return _finish("slab", inst, lhs, rhs, seed_int, budget, t0)
+    return _evaluate("slab", inst, [hull_measure, inter], [body, slab_measure], budget, seed)
 
 
 def check_unconditional(k: HPolytope, t: HPolytope, budget: int = 1 << 14,
@@ -408,17 +403,10 @@ def check_unconditional(k: HPolytope, t: HPolytope, budget: int = 1 << 14,
         raise NotUnconditional("both bodies must be unconditional")
     if k.dim != t.dim:
         raise DimensionMismatch("bodies live in different dimensions")
-    t0 = time.perf_counter()
-    seed_seq, seed_int = _as_seed_sequence(seed)
-    s1, s2, s3, s4 = seed_seq.spawn(4)
-    d = k.dim
-    lhs = Estimate.of(minkowski_measure_mc(k, t, d, budget, s1)).times(
-        Estimate.of(gauss_measure_mc(k.intersect(t), d, budget, s2)))
-    rhs = Estimate.of(gauss_measure_mc(k, d, budget, s3)).times(
-        Estimate.of(gauss_measure_mc(t, d, budget, s4)))
     inst = {"k_normals": k.normals, "k_offsets": k.offsets,
             "t_normals": t.normals, "t_offsets": t.offsets}
-    return _finish("unconditional-strong-gci", inst, lhs, rhs, seed_int, budget, t0)
+    return _evaluate("unconditional-strong-gci", inst, [(k, t), k.intersect(t)], [k, t],
+                     budget, seed)
 
 
 @dataclass(frozen=True)
@@ -491,20 +479,14 @@ def check_tehranchi(model: CorrelationModel, s_thr: ThresholdVector,
     """
     if not (0 <= s and math.sqrt(s) <= t < 1):
         raise InvalidParameters(f"need 0 <= sqrt(s) <= t < 1, got s={s}, t={t}")
-    t0 = time.perf_counter()
-    seed_seq, seed_int = _as_seed_sequence(seed)
-    s1, s2, s3, s4 = seed_seq.spawn(4)
-    d = model.dim
     lam_inter = math.sqrt(2.0 * (1.0 - s) / (1.0 + t))
     lam_sum = math.sqrt((1.0 - s) / (2.0 * (1.0 - t)))
-    constant = (1.0 - s) ** (-d / 2.0)
-    inter = _joint(model, s_thr.minimum(t_thr).scaled(lam_inter), budget, s1, replicates)
-    outer = _joint(model, s_thr.plus(t_thr).scaled(lam_sum), budget, s2, replicates)
-    lhs = inter.times(outer).scaled(constant)
-    rhs = _joint(model, s_thr, budget, s3, replicates).times(
-        _joint(model, t_thr, budget, s4, replicates))
+    lhs = [SymmetricBand(model, s_thr.minimum(t_thr).scaled(lam_inter)),
+           SymmetricBand(model, s_thr.plus(t_thr).scaled(lam_sum)),
+           Estimate((1.0 - s) ** (-model.dim / 2.0), 0.0)]
+    rhs = [SymmetricBand(model, s_thr), SymmetricBand(model, t_thr)]
     inst = _instance_dict(model, s_thr=s_thr.as_array, t_thr=t_thr.as_array, s=s, t=t)
-    return _finish("tehranchi", inst, lhs, rhs, seed_int, budget, t0)
+    return _evaluate("tehranchi", inst, lhs, rhs, budget, seed, replicates)
 
 
 def check_rogers_shephard(p: Polygon2D, q: Polygon2D) -> InequalityReport:
@@ -513,36 +495,25 @@ def check_rogers_shephard(p: Polygon2D, q: Polygon2D) -> InequalityReport:
     Deterministic shoelace areas; the reported stderr encodes the 1e-9
     geometric tolerance so the verdict gate sits exactly there.
     """
-    t0 = time.perf_counter()
-    total = polygon_minkowski_sum(p, q)
-    inter = intersect_polygons(p, q)
-    lhs = Estimate(total.area(), RS_TOL / 6.0).times(Estimate(inter.area(), RS_TOL / 6.0))
-    rhs = Estimate(p.area(), RS_TOL / 6.0).times(Estimate(q.area(), RS_TOL / 6.0))
+    total, inter = polygon_minkowski_sum(p, q), intersect_polygons(p, q)
+    lhs = [Estimate(total.area(), RS_TOL / 6.0), Estimate(inter.area(), RS_TOL / 6.0)]
+    rhs = [Estimate(p.area(), RS_TOL / 6.0), Estimate(q.area(), RS_TOL / 6.0)]
     inst = {"p": p.vertices, "q": q.vertices}
-    return _finish("rogers-shephard", inst, lhs, rhs, None, 0, t0)
+    return _evaluate("rogers-shephard", inst, lhs, rhs, 0, None)
 
 
 # ---------------------------------------------------------------------------
 # Counterexample machinery
 # ---------------------------------------------------------------------------
 
-def _axis_box_halfwidths(poly: Polygon2D) -> tuple[float, float] | None:
-    """Half-widths (hx, hy) when the polygon is an axis-aligned box, else None."""
+def _box_or_polygon(poly: Polygon2D):
+    """Closed-form measure term when the polygon is an axis-aligned box, else the polygon."""
     v = poly.vertices
-    if v.shape[0] != 4:
-        return None
     ax, ay = np.abs(v[:, 0]), np.abs(v[:, 1])
-    if np.ptp(ax) > GEOM_EQ_TOL or np.ptp(ay) > GEOM_EQ_TOL:
-        return None
-    return float(ax.mean()), float(ay.mean())
-
-
-GEOM_EQ_TOL = 1e-12
-
-
-def _axis_box_measure(hx: float, hy: float) -> Estimate:
-    return Estimate(sym_interval_prob(hx), CLOSED_TOL).times(
-        Estimate(sym_interval_prob(hy), CLOSED_TOL))
+    if v.shape[0] != 4 or np.ptp(ax) > GEOM_EQ_TOL or np.ptp(ay) > GEOM_EQ_TOL:
+        return poly
+    return Estimate(sym_interval_prob(float(ax.mean())), CLOSED_TOL).times(
+        Estimate(sym_interval_prob(float(ay.mean())), CLOSED_TOL))
 
 
 @dataclass(frozen=True)
@@ -572,28 +543,12 @@ def hull_counterexample(n_parameter: float, budget: int = 1 << 20,
 
     if not (n_parameter > 0):
         raise InvalidParameters("N must be positive")
-    t0 = time.perf_counter()
     n = float(n_parameter)
-    seed_seq, seed_int = _as_seed_sequence(seed)
     k = Polygon2D.box(1.0 / n, n)
     t = Polygon2D.box(n, 1.0 / n)
-    hull = convex_hull_union(k, t)
-    inter = intersect_polygons(k, t)
-
-    hull_box = _axis_box_halfwidths(hull)
-    if hull_box is not None:
-        hull_measure = _axis_box_measure(*hull_box)
-    else:
-        hull_measure = Estimate.of(gauss_measure_mc(hull, 2, budget, seed_seq.spawn(1)[0]))
-    inter_box = _axis_box_halfwidths(inter)
-    inter_measure = _axis_box_measure(*inter_box)
-    k_measure = _axis_box_measure(1.0 / n, n)
-    t_measure = _axis_box_measure(n, 1.0 / n)
-
-    lhs = hull_measure.times(inter_measure)
-    rhs = k_measure.times(t_measure)
-    inst = {"N": n}
-    report = _finish("hull-counterexample", inst, lhs, rhs, seed_int, budget, t0)
+    lhs = [_box_or_polygon(convex_hull_union(k, t)), _box_or_polygon(intersect_polygons(k, t))]
+    rhs = [_box_or_polygon(k), _box_or_polygon(t)]
+    report = _evaluate("hull-counterexample", {"N": n}, lhs, rhs, budget, seed)
 
     wide = oracle_region_prob(np.array([[1.0]]), np.array([-n]), np.array([n]))
     half = (n + 1.0 / n) / math.sqrt(2.0)
@@ -615,13 +570,9 @@ def hull_counterexample(n_parameter: float, budget: int = 1 << 20,
 def strong_ratio(model: CorrelationModel, s: ThresholdVector, t: ThresholdVector,
                  budget: int = 1 << 14, seed=0, replicates: int = 12) -> Estimate:
     """[Pr(<= s+t) Pr(<= min(s,t))] / [Pr(<= s) Pr(<= t)] with propagated error."""
-    seed_seq, _ = _as_seed_sequence(seed)
-    s1, s2, s3, s4 = seed_seq.spawn(4)
-    num = _joint(model, s.plus(t), budget, s1, replicates).times(
-        _joint(model, s.minimum(t), budget, s2, replicates))
-    den = _joint(model, s, budget, s3, replicates).times(
-        _joint(model, t, budget, s4, replicates))
-    return num.over(den)
+    rep = _evaluate("strong-gci-bands", {}, *_strong_terms(model, s, t), budget, seed,
+                    replicates)
+    return rep.lhs.over(rep.rhs)
 
 
 @dataclass(frozen=True)
@@ -640,7 +591,7 @@ class TensorizeReport:
     runtime_ms: float
 
     def to_json_dict(self) -> dict:
-        return _sanitize({
+        return json_safe({
             "label": "tensorize",
             "copies": self.copies,
             "base_ratio": {"value": self.base_ratio.value, "stderr": self.base_ratio.stderr},
@@ -713,7 +664,7 @@ class SearchResult:
     seed: int | None = None
 
     def to_json_dict(self) -> dict:
-        return _sanitize({
+        return json_safe({
             "label": "search",
             "family": self.family,
             "best_params": self.best_params,
@@ -803,7 +754,7 @@ def search_counterexample(family: str, steps: int, budget: int = 1 << 14,
                               "disp": False})
     return SearchResult(
         family=family,
-        best_params=_sanitize(best["params"]),
+        best_params=json_safe(best["params"]),
         best_margin=float(best["margin"]),
         best_stderr=float(best["stderr"]),
         evaluations=int(best["evals"]),

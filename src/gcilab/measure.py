@@ -107,13 +107,12 @@ def _band_slice(band: SymmetricBand, s: float) -> tuple[float, float] | None:
     return lo, hi
 
 
-def fiber_measure(body, s: float, budget=None, seed=None) -> ProbabilityEstimate:
+def fiber_measure(body, s: float) -> ProbabilityEstimate:
     """gamma_1 of the slice {y : (s, y) in body} for 2-D bodies.
 
     Slice endpoints come exactly from the polygon edges or band constraints;
-    the 1-D mass is integrated by adaptive quadrature. An empty slice returns
-    measure 0 rather than an error. ``budget`` and ``seed`` are accepted for
-    interface parity; the evaluation is deterministic.
+    the 1-D mass is integrated by adaptive quadrature, so the evaluation is
+    deterministic. An empty slice returns measure 0 rather than an error.
     """
     if isinstance(body, Polygon2D):
         interval = body.slice_vertical(float(s))

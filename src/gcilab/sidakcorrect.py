@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import NotStandardized, OutOfRange
 from .gaussmodel import CorrelationModel, ThresholdVector
-from .ineqlab import Estimate, _sanitize
+from .ineqlab import CLOSED_TOL, Estimate, json_safe
 from .mvnprob import (
     _as_seed_sequence,
     inv_std_normal_cdf,
@@ -27,7 +27,6 @@ from .mvnprob import (
 
 A_GRID = tuple(0.05 * 2.0 ** j for j in range(9)) + (math.inf,)
 BISECTION_RESOLUTION = 1e-3
-CLOSED_TOL = 1e-12
 
 
 def sidak_critical_value(alpha: float, k: int) -> float:
@@ -86,7 +85,7 @@ class CorrectionResult:
     runtime_ms: float
 
     def to_json_dict(self) -> dict:
-        return _sanitize({
+        return json_safe({
             "label": "correction",
             "alpha": self.alpha,
             "k": self.k,

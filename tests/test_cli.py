@@ -47,6 +47,24 @@ class TestExitCodes:
         bad.write_text("1,2\n3\n")
         assert run(["check", "sidak", "--cov", str(bad)]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "slab", "--direction", "abc"],
+        ["check", "slab", "--direction", "1"],
+        ["check", "slab", "--direction", "1,2,3"],
+        ["check", "slab", "--direction", "nan,1"],
+        ["check", "refined", "--a", "abc"],
+    ])
+    def test_malformed_option_is_usage_error(self, argv, capsys):
+        assert run(argv) == 1
+        assert "usage error:" in capsys.readouterr().err
+
+    def test_nonfinite_covariance_is_one(self, tmp_path, capsys):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("1,nan\nnan,1\n")
+        assert run(["check", "sidak", "--cov", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "supported" not in captured.out and "error:" in captured.err
+
     def test_theorem_backed_violation_exits_two(self):
         # No valid instance violates a proved inequality, so exercise the
         # exit-code mapping on a synthetic report directly.

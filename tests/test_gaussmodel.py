@@ -7,6 +7,7 @@ from gcilab.errors import (
     InvalidBounds,
     InvalidDimension,
     MalformedInput,
+    NotFinite,
     NotPSD,
     NotSymmetric,
 )
@@ -45,6 +46,19 @@ class TestFromCovariance:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSD):
             from_covariance([[1, 2], [2, 1]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_entries(self, bad):
+        # NaN compares false against every tolerance, so it would pass the
+        # symmetry and Gram checks without an explicit finiteness test.
+        with pytest.raises(NotFinite):
+            from_covariance([[1.0, bad], [bad, 1.0]])
+        with pytest.raises(NotFinite):
+            from_covariance([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(NotFinite):
+            CorrelationModel(sigma=[[1.0, bad], [bad, 1.0]], factor_rows=[[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(NotFinite):
+            CorrelationModel(sigma=np.eye(2), factor_rows=[[1.0, 0.0], [bad, 1.0]])
 
     def test_idempotent_through_gram_map(self):
         for seed in range(10):

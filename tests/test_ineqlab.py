@@ -312,6 +312,13 @@ class TestSlab:
         rep = check_slab(band, 0, 5.0, budget=2 ** 12, seed=2)
         assert abs(rep.margin) <= 3 * rep.stderr + 1e-12
 
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_width(self, width):
+        band = SymmetricBand(random_correlation(2, 2, 21), ThresholdVector([1.0, 1.0]))
+        for body, direction in ((Polygon2D.box(1.0, 1.0), [1.0, 0.0]), (band, 0)):
+            with pytest.raises(InvalidParameters):
+                check_slab(body, direction, width, budget=2 ** 14, seed=0)
+
 
 class TestUnconditional:
     def test_axis_boxes_against_interval_arithmetic(self):
