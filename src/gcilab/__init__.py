@@ -17,6 +17,7 @@ from .convexgeom import (
     convex_hull_union,
     intersect_polygons,
     minkowski_contains,
+    minkowski_sum,
     polygon_minkowski_sum,
     random_symmetric_polygon,
     random_unconditional_hpolytope,

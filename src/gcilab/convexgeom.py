@@ -7,8 +7,10 @@ Three representations share one toolbox:
   (min / sum), mirroring the support-function identities on shared normals.
 * ``Polygon2D``: exact centrally symmetric convex polygons with edge-merge
   Minkowski sums, convex hulls of unions, and halfplane clipping.
-* ``HPolytope``: general bounded halfspace intersections; Minkowski-sum
-  membership is decided by phase-1 simplex feasibility.
+* ``HPolytope``: general bounded halfspace intersections. For 2 <= d <= 3
+  ``minkowski_sum`` builds the exact facet form of K + T with Qhull; in other
+  dimensions sum membership is decided point by point by phase-1 simplex
+  feasibility (``minkowski_contains``).
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ from itertools import product as _iterproduct
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, HalfspaceIntersection, cKDTree
 
 from .errors import (
     DegenerateInput,
     DimensionMismatch,
+    InvalidDimension,
     MalformedInput,
     ModelMismatch,
     NotSymmetric,
@@ -34,6 +38,10 @@ GEOM_TOL = 1e-12        # vertex dedup / collinearity / membership tolerance
 SYMMETRY_MATCH_TOL = 1e-9
 LP_TOL = 1e-9           # simplex feasibility tolerance
 SIMPLEX_ITER_CAP = 10_000
+# Qhull needs d >= 2, and at d = 5 it raised precision errors on random
+# unconditional pairs, so exact sums are built in these dimensions only.
+EXACT_SUM_DIMS = (2, 3)
+FACET_MERGE_TOL = 1e-9  # max gap between hull equations of one facet
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +400,12 @@ class HPolytope:
         return True
 
     def is_bounded(self) -> bool:
-        """Support finiteness along +-e_j for every axis j."""
-        for j in range(self.dim):
-            e = np.zeros(self.dim)
-            e[j] = 1.0
-            if not np.isfinite(self.support(e)) or not np.isfinite(self.support(-e)):
-                return False
-        return True
+        """Normals span R^d.
+
+        The normal set is closed under negation, so {y : A y <= 0} is the null
+        space of A and the body is bounded exactly when A has full column rank.
+        """
+        return int(np.linalg.matrix_rank(self.normals)) == self.dim
 
     def is_unconditional(self, tol: float = SYMMETRY_MATCH_TOL) -> bool:
         """Every coordinate sign flip of every normal is present with equal offset."""
@@ -492,6 +499,35 @@ def contains(body, point) -> bool:
     if p.shape != (expected,):
         raise DimensionMismatch(f"point must live in R^{expected}")
     return body.contains_point(p)
+
+
+def polytope_vertices(body: HPolytope) -> np.ndarray:
+    """Vertices of a bounded H-polytope by Qhull halfspace intersection.
+
+    The origin is interior because every offset is positive. A vertex where
+    more than d facets meet may be listed more than once.
+    """
+    halfspaces = np.column_stack([body.normals, -body.offsets])
+    return HalfspaceIntersection(halfspaces, np.zeros(body.dim)).intersections
+
+
+def minkowski_sum(k: HPolytope, t: HPolytope) -> HPolytope:
+    """Exact facet form of K + T for 2 <= d <= 3.
+
+    K + T is the convex hull of all pairwise vertex sums. Qhull returns one
+    equation per triangle of that hull, so the equations of coplanar
+    triangles are merged into one facet each.
+    """
+    if k.dim != t.dim:
+        raise DimensionMismatch("summands live in different dimensions")
+    if k.dim not in EXACT_SUM_DIMS:
+        raise InvalidDimension(f"exact Minkowski sums need d in {EXACT_SUM_DIMS}, got {k.dim}")
+    vk, vt = polytope_vertices(k), polytope_vertices(t)
+    eq = ConvexHull((vk[:, None, :] + vt[None, :, :]).reshape(-1, k.dim)).equations
+    pairs = cKDTree(eq).query_pairs(FACET_MERGE_TOL, p=np.inf, output_type="ndarray")
+    keep = np.ones(eq.shape[0], dtype=bool)
+    keep[pairs[:, 1]] = False  # i < j in every pair: the lowest index stands for its facet
+    return HPolytope.from_halfspaces(eq[keep, :-1], -eq[keep, -1])
 
 
 def minkowski_contains(k: HPolytope, t: HPolytope, point) -> bool:

@@ -23,9 +23,17 @@ from .errors import (
     NotSymmetric,
 )
 
+# Tolerances relative to the largest |sigma_ii| (see ``_scale``), so rank and
+# acceptance do not depend on the units of the covariance.
 SYMMETRY_TOL = 1e-10
 PIVOT_TOL = 1e-10
 GRAM_TOL = 1e-10
+
+
+def _scale(sigma: np.ndarray) -> float:
+    """max |sigma_ii|, or 1 when the diagonal is zero (the zero covariance)."""
+    top = float(np.max(np.abs(np.diag(sigma))))
+    return top if top > 0 else 1.0
 
 
 def _require_finite(a: np.ndarray) -> None:
@@ -57,14 +65,15 @@ class CorrelationModel:
         n = sigma.shape[0]
         if sigma.shape != (n, n):
             raise NotSymmetric("covariance matrix must be square")
-        if np.max(np.abs(sigma - sigma.T)) > SYMMETRY_TOL:
-            raise NotSymmetric("covariance matrix is not symmetric within 1e-10")
+        scale = _scale(sigma)
+        if np.max(np.abs(sigma - sigma.T)) > SYMMETRY_TOL * scale:
+            raise NotSymmetric("covariance matrix is not symmetric within 1e-10 max|sigma_ii|")
         if rows.shape[0] != n:
             raise InvalidDimension("one factor row per variable is required")
         if rows.shape[1] > n:
             raise InvalidDimension("factor dimension d must satisfy d <= n")
         gram = rows @ rows.T
-        if np.max(np.abs(gram - sigma)) > 10 * GRAM_TOL:
+        if np.max(np.abs(gram - sigma)) > 10 * GRAM_TOL * scale:
             raise GciLabError("factor rows do not reproduce sigma")
 
     @property
@@ -113,7 +122,7 @@ def _pivoted_cholesky(a: np.ndarray, tol: float) -> np.ndarray:
         piv = resid[j]
         if piv <= tol:
             if np.min(resid[~done]) < -tol:
-                raise NotPSD("pivot below -1e-10; matrix is not PSD")
+                raise NotPSD("pivot below -1e-10 max|sigma_ii|; matrix is not PSD")
             break
         ell[j, k] = np.sqrt(piv)
         rest = ~done & (np.arange(n) != j)
@@ -131,19 +140,20 @@ def _pivoted_cholesky(a: np.ndarray, tol: float) -> np.ndarray:
 def from_covariance(matrix) -> CorrelationModel:
     """Build a model from a symmetric PSD matrix via pivoted Cholesky.
 
-    Rank is detected at pivot tolerance 1e-10, so rank-deficient covariances
-    yield factor rows in a strictly lower-dimensional space. NaN or infinite
-    entries raise ``NotFinite``.
+    Rank is detected at pivot tolerance 1e-10 max|sigma_ii|, so rank-deficient
+    covariances yield factor rows in a strictly lower-dimensional space
+    whatever their units. NaN or infinite entries raise ``NotFinite``.
     """
     a = np.atleast_2d(np.asarray(matrix, dtype=float))
     _require_finite(a)
     n = a.shape[0]
     if a.shape != (n, n):
         raise NotSymmetric("covariance matrix must be square")
-    if np.max(np.abs(a - a.T)) > SYMMETRY_TOL:
-        raise NotSymmetric("covariance matrix is not symmetric within 1e-10")
+    scale = _scale(a)
+    if np.max(np.abs(a - a.T)) > SYMMETRY_TOL * scale:
+        raise NotSymmetric("covariance matrix is not symmetric within 1e-10 max|sigma_ii|")
     a = 0.5 * (a + a.T)
-    return CorrelationModel(sigma=a, factor_rows=_pivoted_cholesky(a, PIVOT_TOL))
+    return CorrelationModel(sigma=a, factor_rows=_pivoted_cholesky(a, PIVOT_TOL * scale))
 
 
 def random_correlation(n: int, d: int, seed: int) -> CorrelationModel:

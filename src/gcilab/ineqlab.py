@@ -27,6 +27,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .convexgeom import (
+    EXACT_SUM_DIMS,
     HPolytope,
     Polygon2D,
     SymmetricBand,
@@ -34,6 +35,7 @@ from .convexgeom import (
     convex_hull_union,
     intersect_polygons,
     minkowski_contains,
+    minkowski_sum,
     polygon_minkowski_sum,
 )
 from .errors import (
@@ -440,12 +442,18 @@ def check_lattice_premise(k: HPolytope, t: HPolytope, samples: int = 1000,
     """Coordinatewise lattice premise for unconditional bodies.
 
     For x in K and y in T in the positive orthant, the meet x ^ y must lie in
-    K inter T and the join x v y in K + T (checked via simplex feasibility).
-    Any failure raises ``PremiseViolated``: the premise is a consequence of
-    unconditionality, so a failure means the geometry code is wrong.
+    K inter T and the join x v y in K + T. Joins are tested against the exact
+    facet form ``minkowski_sum(k, t)`` for d in ``EXACT_SUM_DIMS``, else one by
+    one with ``minkowski_contains``. Any failure raises ``PremiseViolated``:
+    the premise is a consequence of unconditionality, so a failure means the
+    geometry code is wrong.
     """
     if not k.is_unconditional() or not t.is_unconditional():
         raise NotUnconditional("both bodies must be unconditional")
+    if k.dim != t.dim:
+        raise DimensionMismatch("bodies live in different dimensions")
+    if samples < 1:
+        raise InvalidParameters(f"need at least one sample pair, got {samples}")
     seed_seq, seed_int = _as_seed_sequence(seed)
     rng = np.random.default_rng(seed_seq)
     xs = _sample_in_positive_part(k, samples, rng)
@@ -456,9 +464,13 @@ def check_lattice_premise(k: HPolytope, t: HPolytope, samples: int = 1000,
     if not np.all(ok_meet):
         bad = meets[~ok_meet][0]
         raise PremiseViolated(f"meet point {bad.tolist()} escaped K inter T")
-    for j in joins:
-        if not minkowski_contains(k, t, j):
-            raise PremiseViolated(f"join point {j.tolist()} escaped K + T")
+    if k.dim in EXACT_SUM_DIMS:
+        ok_join = minkowski_sum(k, t).contains_many(joins)
+    else:
+        ok_join = np.array([minkowski_contains(k, t, j) for j in joins])
+    if not np.all(ok_join):
+        bad = joins[~ok_join][0]
+        raise PremiseViolated(f"join point {bad.tolist()} escaped K + T")
     return LatticePremiseReport(pairs=samples, passed=True, seed=seed_int)
 
 

@@ -2,9 +2,10 @@
 
 Band bodies reduce exactly to rectangle probabilities of their model, so the
 QMC engine carries them in any dimension. Polygons and H-polytopes get Monte
-Carlo membership estimates, and 2-D bodies additionally expose the fiber
-measure f(s), the Gaussian mass of the vertical slice at s, used by the
-slab-lifting arguments.
+Carlo membership estimates, and so does a Minkowski sum K + T: through its
+exact facet form for 2 <= d <= 3, else point by point. 2-D bodies
+additionally expose the fiber measure f(s), the Gaussian mass of the vertical
+slice at s, used by the slab-lifting arguments.
 """
 
 from __future__ import annotations
@@ -14,7 +15,14 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from .convexgeom import HPolytope, Polygon2D, SymmetricBand, minkowski_contains
+from .convexgeom import (
+    EXACT_SUM_DIMS,
+    HPolytope,
+    Polygon2D,
+    SymmetricBand,
+    minkowski_contains,  # shell test off EXACT_SUM_DIMS; perfbench's tracer wraps it here
+    minkowski_sum,
+)
 from .errors import BudgetTooSmall, DimensionMismatch
 from .mvnprob import (
     METHOD_MC,
@@ -65,17 +73,22 @@ def gauss_measure_mc(body, dim: int, budget: int, seed) -> ProbabilityEstimate:
 
 def minkowski_measure_mc(k: HPolytope, t: HPolytope, dim: int,
                          budget: int, seed) -> ProbabilityEstimate:
-    """gamma_d(K + T) by Monte Carlo with simplex-feasibility membership.
+    """gamma_d(K + T) by Monte Carlo membership.
 
-    Two screens implied by the membership semantics skip redundant solves:
-    points inside K or T are inside K + T with a constructive witness, and a
-    point beyond h_K(u) + h_T(u) along any facet normal u is separated from
-    the sum. Remaining shell points go through ``minkowski_contains``.
+    For d in ``EXACT_SUM_DIMS`` this is ``gauss_measure_mc`` on the exact
+    facet form ``minkowski_sum(k, t)``, drawing the same samples. In other
+    dimensions two screens implied by the membership semantics skip redundant
+    solves: points inside K or T are inside K + T with a constructive witness,
+    and a point beyond h_K(u) + h_T(u) along any facet normal u is separated
+    from the sum. Remaining shell points go through the phase-1 simplex of
+    ``minkowski_contains``.
     """
     if budget < MC_MIN_BUDGET:
         raise BudgetTooSmall(f"Monte Carlo budget {budget} < {MC_MIN_BUDGET}")
     if k.dim != dim or t.dim != dim:
         raise DimensionMismatch("summands must live in the requested dimension")
+    if dim in EXACT_SUM_DIMS:
+        return gauss_measure_mc(minkowski_sum(k, t), dim, budget, seed)
     seed_seq, seed_int = _as_seed_sequence(seed)
     rng = np.random.default_rng(seed_seq)
     dirs = np.vstack([k.normals, t.normals])

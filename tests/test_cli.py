@@ -20,6 +20,9 @@ def csv_dir(tmp_path):
         ",".join("1" if i == j else "0.5" for j in range(5)) for i in range(5)) + "\n")
     (tmp_path / "square.csv").write_text("1,1\n-1,1\n-1,-1\n1,-1\n")
     (tmp_path / "box.csv").write_text("1,0,1\n-1,0,1\n0,1,1.5\n0,-1,1.5\n")
+    (tmp_path / "box3.csv").write_text(
+        "1,0,0,1\n-1,0,0,1\n0,1,0,1\n0,-1,0,1\n0,0,1,1\n0,0,-1,1\n")
+    (tmp_path / "strip.csv").write_text("1,0,1\n-1,0,1\n")
     return tmp_path
 
 
@@ -64,6 +67,23 @@ class TestExitCodes:
         assert run(["check", "sidak", "--cov", str(bad)]) == 1
         captured = capsys.readouterr()
         assert "supported" not in captured.out and "error:" in captured.err
+
+    @pytest.mark.parametrize("extra", [
+        ["--hpoly2", "box3.csv"],
+        ["--hpoly2", "box.csv", "--samples", "-5"],
+        ["--hpoly2", "box.csv", "--samples", "0"],
+    ])
+    def test_bad_lattice_input_is_one(self, csv_dir, extra, capsys):
+        argv = ["check", "lattice", "--hpoly", str(csv_dir / "box.csv"), "--seed", "1"]
+        argv += [str(csv_dir / a) if a.endswith(".csv") else a for a in extra]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert "passed" not in captured.out and "error:" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_unbounded_hpolytope_is_one(self, csv_dir, capsys):
+        assert run(["measure", "--hpoly", str(csv_dir / "strip.csv")]) == 1
+        assert "unbounded" in capsys.readouterr().err
 
     def test_theorem_backed_violation_exits_two(self):
         # No valid instance violates a proved inequality, so exercise the

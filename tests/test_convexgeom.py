@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 import oracles
 from gcilab.convexgeom import (
@@ -18,8 +21,10 @@ from gcilab.convexgeom import (
     load_hpolytope_csv,
     load_polygon_csv,
     minkowski_contains,
+    minkowski_sum,
     phase1_feasible,
     polygon_minkowski_sum,
+    polytope_vertices,
     random_symmetric_polygon,
     random_unconditional_hpolytope,
     support_function,
@@ -27,6 +32,7 @@ from gcilab.convexgeom import (
 from gcilab.errors import (
     DegenerateInput,
     DimensionMismatch,
+    InvalidDimension,
     ModelMismatch,
     NotSymmetric,
     ZeroDirection,
@@ -287,7 +293,114 @@ class TestMinkowskiContains:
         assert phase1_feasible(g, h2)
 
 
+def _pair(seed: int, dim: int):
+    rng = np.random.default_rng(seed)
+    return random_unconditional_hpolytope(rng, dim), random_unconditional_hpolytope(rng, dim)
+
+
+def _probe_points(k, t, seed: int) -> np.ndarray:
+    """Gaussian points plus vertex-pair sums scaled by 1 +- 1e-6 (boundary probes)."""
+    rng = np.random.default_rng(seed)
+    vk, vt = polytope_vertices(k), polytope_vertices(t)
+    sums = (vk[:, None, :] + vt[None, :, :]).reshape(-1, k.dim)
+    sums = sums[rng.choice(len(sums), size=min(len(sums), 40), replace=False)]
+    return np.vstack([1.6 * rng.standard_normal((60, k.dim)),
+                      sums * (1.0 + 1e-6), sums * (1.0 - 1e-6)])
+
+
+_seeds = st.integers(0, 2**32 - 1)
+
+
+class TestMinkowskiSum:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=_seeds, dim=st.sampled_from([2, 3]))
+    def test_agrees_with_simplex_membership(self, seed, dim):
+        k, t = _pair(seed, dim)
+        pts = _probe_points(k, t, seed)
+        exact = minkowski_sum(k, t).contains_many(pts)
+        simplex = np.array([minkowski_contains(k, t, p) for p in pts])
+        np.testing.assert_array_equal(exact, simplex)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=_seeds)
+    def test_matches_polygon_sum_in_2d(self, seed):
+        k, t = _pair(seed, 2)
+        exact = minkowski_sum(k, t)
+        poly = polygon_minkowski_sum(k.to_polygon(), t.to_polygon())
+        assert exact.to_polygon().area() == pytest.approx(poly.area(), rel=1e-9)
+        pts = _probe_points(k, t, seed)
+        np.testing.assert_array_equal(exact.contains_many(pts), poly.contains_many(pts))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=_seeds, dim=st.sampled_from([2, 3]))
+    def test_merged_facets_closed_under_negation(self, seed, dim):
+        s = minkowski_sum(*_pair(seed, dim))
+        gaps = np.linalg.norm(s.normals[:, None, :] + s.normals[None, :, :], axis=2)
+        partner = gaps.argmin(axis=1)
+        assert np.all(gaps.min(axis=1) <= 1e-9)
+        np.testing.assert_allclose(s.offsets[partner], s.offsets, rtol=0, atol=1e-9)
+        # one equation per facet: no two normals coincide after the merge
+        off_diag = np.linalg.norm(s.normals[:, None, :] - s.normals[None, :, :], axis=2)
+        assert np.all(off_diag[~np.eye(len(s.offsets), dtype=bool)] > 1e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=_seeds, dim=st.sampled_from([2, 3]), data=st.data())
+    def test_facet_count_invariant_under_coordinate_permutation(self, seed, dim, data):
+        k, t = _pair(seed, dim)
+        perm = data.draw(st.permutations(range(dim)))
+
+        def permuted(body):
+            return HPolytope.from_halfspaces(body.normals[:, perm], body.offsets)
+
+        assert len(minkowski_sum(permuted(k), permuted(t)).offsets) == \
+            len(minkowski_sum(k, t).offsets)
+
+    def test_axis_boxes_add_half_widths(self):
+        s = minkowski_sum(HPolytope.axis_box([1.0, 0.5, 2.0]), HPolytope.axis_box([0.5, 1.0, 1.0]))
+        assert len(s.offsets) == 6
+        for u, c in zip(s.normals, s.offsets):
+            j = int(np.argmax(np.abs(u)))
+            assert abs(u[j]) == pytest.approx(1.0) and c == pytest.approx([1.5, 1.5, 3.0][j])
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_rejects_dimensions_without_exact_form(self, dim):
+        k = HPolytope.axis_box(np.ones(dim))
+        with pytest.raises(InvalidDimension):
+            minkowski_sum(k, k)
+
+    def test_rejects_mixed_dimensions(self):
+        with pytest.raises(DimensionMismatch):
+            minkowski_sum(HPolytope.axis_box([1.0, 1.0]), HPolytope.axis_box([1.0, 1.0, 1.0]))
+
+
+def _lp_bounded(body) -> bool:
+    """No LP along +-e_j is unbounded.
+
+    HiGHS presolve reports some unbounded problems as infeasible (status 2),
+    so presolve is off here and status 3 is the only unbounded answer.
+    """
+    for e in np.vstack([np.eye(body.dim), -np.eye(body.dim)]):
+        res = linprog(-e, A_ub=body.normals, b_ub=body.offsets,
+                      bounds=[(None, None)] * body.dim, method="highs",
+                      options={"presolve": False})
+        assert res.status in (0, 3), res.message
+        if res.status == 3:
+            return False
+    return True
+
+
 class TestHPolytope:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=_seeds, dim=st.integers(1, 4), data=st.data())
+    def test_rank_rule_matches_lp_boundedness(self, seed, dim, data):
+        rank = data.draw(st.integers(1, dim))
+        rows = data.draw(st.integers(rank, 6))
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, dim))
+        body = HPolytope.symmetric(u, rng.uniform(0.5, 2.0, size=rows), check_bounded=False)
+        assert body.is_bounded() == (rank == dim)
+        assert body.is_bounded() == _lp_bounded(body)
+
     def test_rejects_unbounded(self):
         with pytest.raises(DegenerateInput):
             HPolytope.from_halfspaces([[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0])

@@ -60,6 +60,18 @@ class TestFromCovariance:
         with pytest.raises(NotFinite):
             CorrelationModel(sigma=np.eye(2), factor_rows=[[1.0, 0.0], [bad, 1.0]])
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6, 1e8])
+    def test_rank_does_not_depend_on_units(self, scale):
+        sigma = random_correlation(6, 3, 11).sigma
+        m = from_covariance(sigma * scale)
+        assert m.dim == 3
+        np.testing.assert_allclose(m.factor_rows @ m.factor_rows.T, sigma * scale,
+                                   rtol=0, atol=1e-9 * scale)
+
+    def test_zero_covariance_is_rank_zero(self):
+        m = from_covariance(np.zeros((3, 3)))
+        np.testing.assert_array_equal(m.factor_rows, np.zeros((3, 1)))
+
     def test_idempotent_through_gram_map(self):
         for seed in range(10):
             m = random_correlation(5, 3, seed)

@@ -15,7 +15,7 @@ from gcilab.convexgeom import (
     random_symmetric_polygon,
     random_unconditional_hpolytope,
 )
-from gcilab.errors import InvalidParameters, NotUnconditional
+from gcilab.errors import DimensionMismatch, InvalidParameters, NotUnconditional
 from gcilab.gaussmodel import ThresholdVector, from_covariance, random_correlation
 from gcilab.ineqlab import (
     EXPLORATORY,
@@ -367,6 +367,25 @@ class TestLatticePremise:
         k = HPolytope.axis_box([1.0, 1.0])
         rep = check_lattice_premise(k, k, samples=100, seed=3)
         assert rep.passed
+
+    @pytest.mark.parametrize("dim", [1, 3, 4])
+    def test_random_pairs_in_other_dimensions(self, dim):
+        # d = 3 joins go through the exact sum, d = 1 and 4 through the simplex
+        rng = np.random.default_rng(40 + dim)
+        k = random_unconditional_hpolytope(rng, dim)
+        t = random_unconditional_hpolytope(rng, dim)
+        assert check_lattice_premise(k, t, samples=150, seed=4).passed
+
+    def test_rejects_mixed_dimensions(self):
+        with pytest.raises(DimensionMismatch):
+            check_lattice_premise(HPolytope.axis_box([1.0, 1.0, 1.0]),
+                                  HPolytope.axis_box([1.0, 1.0]), samples=10)
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_rejects_nonpositive_samples(self, samples):
+        k = HPolytope.axis_box([1.0, 1.0])
+        with pytest.raises(InvalidParameters):
+            check_lattice_premise(k, k, samples=samples)
 
 
 class TestTehranchi:

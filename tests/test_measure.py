@@ -100,6 +100,14 @@ class TestMinkowskiMeasureMc:
         qmc = gauss_measure_band(band, budget=2 ** 13, seed=6)
         assert abs(ms.value - qmc.value) <= 3 * _combined(ms, qmc)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_box_sum_matches_closed_form(self, dim):
+        # d = 2, 3 measure the exact facet form, d = 1, 4 the screened simplex path
+        a, b = np.linspace(0.5, 1.0, dim), np.linspace(0.9, 0.3, dim)
+        ms = minkowski_measure_mc(HPolytope.axis_box(a), HPolytope.axis_box(b), dim, 40_000, 11)
+        exact = math.prod(math.erf(h / math.sqrt(2.0)) for h in a + b)
+        assert abs(ms.value - exact) <= 3 * ms.stderr + 1e-9
+
     def test_cross_validated_against_polygon_sum(self):
         rng = np.random.default_rng(9)
         k = random_unconditional_hpolytope(rng)
