@@ -391,13 +391,18 @@ class HPolytope:
     def dim(self) -> int:
         return self.normals.shape[1]
 
-    def _negation_closed(self, tol: float = SYMMETRY_MATCH_TOL) -> bool:
-        for u, c in zip(self.normals, self.offsets):
-            match = (np.linalg.norm(self.normals + u, axis=1) <= tol) & \
-                    (np.abs(self.offsets - c) <= tol)
-            if not match.any():
+    def _closed_under(self, signs) -> bool:
+        """Each facet (u * s, c) is present for every sign vector s in `signs`."""
+        a, b = self.normals, self.offsets
+        same_offset = np.abs(b[:, None] - b[None, :]) <= SYMMETRY_MATCH_TOL
+        for s in signs:
+            gaps = np.linalg.norm(a[:, None, :] * s - a[None, :, :], axis=2)
+            if not np.all(np.any((gaps <= SYMMETRY_MATCH_TOL) & same_offset, axis=1)):
                 return False
         return True
+
+    def _negation_closed(self) -> bool:
+        return self._closed_under([-1.0])
 
     def is_bounded(self) -> bool:
         """Normals span R^d.
@@ -407,16 +412,9 @@ class HPolytope:
         """
         return int(np.linalg.matrix_rank(self.normals)) == self.dim
 
-    def is_unconditional(self, tol: float = SYMMETRY_MATCH_TOL) -> bool:
+    def is_unconditional(self) -> bool:
         """Every coordinate sign flip of every normal is present with equal offset."""
-        for u, c in zip(self.normals, self.offsets):
-            for signs in _iterproduct((1.0, -1.0), repeat=self.dim):
-                v = np.asarray(signs) * u
-                match = (np.linalg.norm(self.normals - v, axis=1) <= tol) & \
-                        (np.abs(self.offsets - c) <= tol)
-                if not match.any():
-                    return False
-        return True
+        return self._closed_under(_iterproduct((1.0, -1.0), repeat=self.dim))
 
     def contains_point(self, point, tol: float = GEOM_TOL) -> bool:
         p = np.asarray(point, dtype=float)
@@ -454,8 +452,10 @@ class HPolytope:
 
 
 def _support_lp(a: np.ndarray, b: np.ndarray, direction: np.ndarray) -> float:
-    res = linprog(-direction, A_ub=a, b_ub=b,
-                  bounds=[(None, None)] * a.shape[1], method="highs")
+    # HiGHS presolve reports some unbounded LPs as infeasible (status 2);
+    # without it they come back as status 3.
+    res = linprog(-direction, A_ub=a, b_ub=b, bounds=[(None, None)] * a.shape[1],
+                  method="highs", options={"presolve": False})
     if res.status == 3:
         return np.inf
     if res.status != 0:

@@ -9,12 +9,15 @@ Replicated randomizations supply a standard error. Infinite bounds are exact
 (the CDF is evaluated symbolically at +-inf, never truncated), and
 rank-deficient covariances are handled without regularization.
 
-A deterministic adaptive tensor quadrature oracle covers factor dimension
-d <= 3 and is the independent cross-check for the sampling engine.
+A deterministic quadrature oracle covers factor dimension d <= 3 and is the
+independent cross-check for the sampling engine: one planar Gauss-Legendre
+layer integrates d <= 2 regions, and adaptive quadrature over the first
+factor integrates those layers for d = 3.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,7 +38,7 @@ from .errors import (
 from .gaussmodel import CorrelationModel, ThresholdVector
 
 CDF_TOL = 1e-12          # absolute error of std_normal_cdf over finite x
-ORACLE_TOL = 1e-7        # absolute tolerance of the tensor quadrature oracle
+ORACLE_TOL = 1e-7        # absolute tolerance of the quadrature oracle
 CDF_FLOOR = 1e-300       # lower clamp for deep-tail CDF values
 MIN_BUDGET = 1000
 QMC_STDERR_FLOOR = 1e-15  # accumulated representation rounding of the estimate
@@ -400,38 +403,15 @@ def _phi_density(x: float) -> float:
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def _slice_prob(lo: float, hi: float) -> float:
-    if hi <= lo:
-        return 0.0
-    return float(ndtr(hi) - ndtr(lo))
-
-
-def _pair_breakpoints(u, res_lo, res_hi):
-    """x-coordinates of pairwise constraint-line crossings (2-D regions)."""
-    pts = []
-    n = u.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            mat = np.array([u[i], u[j]])
-            det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-            if abs(det) < 1e-12:
-                continue
-            for ri in (res_lo[i], res_hi[i]):
-                for rj in (res_lo[j], res_hi[j]):
-                    if math.isinf(ri) or math.isinf(rj):
-                        continue
-                    x = (ri * mat[1, 1] - rj * mat[0, 1]) / det
-                    if abs(x) < QUAD_CLIP:
-                        pts.append(x)
-    return sorted(set(round(p, 12) for p in pts))
-
-
 def oracle_region_prob(rows, lower, upper, tol: float = ORACLE_TOL) -> float:
     """Standard Gaussian mass of {y in R^d : lower <= rows @ y <= upper}, d <= 3.
 
-    Deterministic adaptive tensor quadrature: the innermost axis uses exact
-    CDF differences of the slice interval, outer axes use adaptive quadrature
-    clipped to |x| <= 9 (truncation far below `tol`).
+    Deterministic quadrature built on one planar rule, ``_plane_mass``: for
+    d <= 2 the region is a single planar layer (rows zero-padded to width 2),
+    and d = 1 reduces to an exact CDF difference. For d = 3 adaptive
+    quadrature to `tol` over y_1, clipped to |y_1| <= 9 (truncation far below
+    `tol`) and broken at the first coordinates of the region's vertices,
+    integrates the planar layers at fixed y_1.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     lower = np.asarray(lower, dtype=float)
@@ -450,108 +430,122 @@ def oracle_region_prob(rows, lower, upper, tol: float = ORACLE_TOL) -> float:
     if rows.shape[0] == 0:
         return 1.0
 
-    if d == 1:
-        lo, hi = _interval_from_constraints(rows[:, 0], lower, upper)
-        lo, hi = max(lo, -QUAD_CLIP), min(hi, QUAD_CLIP)
-        if hi <= lo:
+    if d <= 2:
+        value = _plane_mass(np.hstack([rows, np.zeros((rows.shape[0], 2 - d))]), lower, upper)
+    else:
+        pure = np.all(np.abs(rows[:, 1:]) <= ZERO_COEF, axis=1)
+        x1lo, x1hi = _interval_from_constraints(rows[pure, 0], lower[pure], upper[pure])
+        x1lo, x1hi = max(x1lo, -QUAD_CLIP), min(x1hi, QUAD_CLIP)
+        if x1hi <= x1lo:
             return 0.0
-        val, _ = quad(_phi_density, lo, hi, epsabs=tol * 1e-3, limit=200)
-        return float(min(max(val, 0.0), 1.0))
+        u, lo, hi = rows[~pure], lower[~pure], upper[~pure]
 
-    if d == 2:
-        pure = np.abs(rows[:, 1]) <= ZERO_COEF
-        xlo, xhi = _interval_from_constraints(rows[pure, 0], lower[pure], upper[pure])
-        xlo, xhi = max(xlo, -QUAD_CLIP), min(xhi, QUAD_CLIP)
-        if xhi <= xlo:
-            return 0.0
-        u, alo, ahi = rows[~pure], lower[~pure], upper[~pure]
+        def layer(x1):
+            return _phi_density(x1) * _plane_mass(u[:, 1:], lo - u[:, 0] * x1, hi - u[:, 0] * x1)
 
-        def integrand(x):
-            lo, hi = _interval_from_constraints(u[:, 1], alo - u[:, 0] * x, ahi - u[:, 0] * x)
-            return _phi_density(x) * _slice_prob(lo, hi)
+        kinks = _vertex_x1(rows, lower, upper)
+        kinks = kinks[(kinks > x1lo) & (kinks < x1hi)]
+        value, _ = quad(layer, x1lo, x1hi, points=kinks if kinks.size else None,
+                        epsabs=tol * 0.3, limit=400 + kinks.size)
+    return float(min(max(value, 0.0), 1.0))
 
-        pts = [p for p in _pair_breakpoints(u, alo, ahi) if xlo < p < xhi]
-        val, _ = quad(integrand, xlo, xhi, points=pts or None, epsabs=tol * 0.3, limit=500)
-        return float(min(max(val, 0.0), 1.0))
 
-    # d == 3: adaptive quadrature over x1, exact piecewise-analytic inner layer.
-    pure1 = (np.abs(rows[:, 1]) <= ZERO_COEF) & (np.abs(rows[:, 2]) <= ZERO_COEF)
-    x1lo, x1hi = _interval_from_constraints(rows[pure1, 0], lower[pure1], upper[pure1])
-    x1lo, x1hi = max(x1lo, -QUAD_CLIP), min(x1hi, QUAD_CLIP)
-    if x1hi <= x1lo:
-        return 0.0
-    mid = (~pure1) & (np.abs(rows[:, 2]) <= ZERO_COEF)
-    um, mlo, mhi = rows[mid], lower[mid], upper[mid]
-    inner = ~pure1 & ~mid
-    ui, ilo, ihi = rows[inner], lower[inner], upper[inner]
+def _vertex_x1(rows, lower, upper) -> np.ndarray:
+    """Sorted first coordinates of the vertices of {y : lower <= rows @ y <= upper} in R^3.
 
-    def middle(x1):
-        x2lo, x2hi = _interval_from_constraints(um[:, 1], mlo - um[:, 0] * x1, mhi - um[:, 0] * x1)
-        x2lo, x2hi = max(x2lo, -QUAD_CLIP), min(x2hi, QUAD_CLIP)
-        if x2hi <= x2lo:
-            return 0.0
-        return _slab_layer_mass(ui, ilo, ihi, x1, x2lo, x2hi)
-
-    outer, _ = quad(lambda x1: _phi_density(x1) * middle(x1), x1lo, x1hi,
-                    epsabs=tol * 0.3, limit=400)
-    return float(min(max(outer, 0.0), 1.0))
+    A vertex is a feasible point where three constraint planes meet. Between
+    these coordinates every planar layer keeps its combinatorial type, so the
+    layer mass is analytic in y_1 and adaptive quadrature can trust its error
+    estimate; across them it has kinks that can hide from that estimate.
+    """
+    if rows.shape[0] < 3:
+        return np.zeros(0)
+    bounds = np.column_stack([lower, upper])
+    sides = np.array(list(itertools.product((0, 1), repeat=3)))
+    lo_tol = lower - DEGENERATE_SLACK * (1.0 + np.abs(lower))
+    hi_tol = upper + DEGENERATE_SLACK * (1.0 + np.abs(upper))
+    trip = np.array(list(itertools.combinations(range(rows.shape[0]), 3)))
+    x1 = []
+    # blocks of triples keep the (candidate point x row) check near 2^21 entries
+    for block in np.array_split(trip, 1 + trip.shape[0] * 8 * rows.shape[0] // (1 << 21)):
+        block = block[np.abs(np.linalg.det(rows[block])) > 1e-12]
+        rhs = bounds[block[:, None, :], sides]  # triple x side x plane
+        t, k = np.nonzero(np.all(np.isfinite(rhs), axis=2))
+        pts = np.linalg.solve(rows[block[t]], rhs[t, k][..., None])[..., 0]
+        proj = pts @ rows.T
+        x1.append(pts[np.all((proj >= lo_tol) & (proj <= hi_tol), axis=1), 0])
+    return np.unique(np.concatenate(x1))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _PANEL_MAX_LEN = 0.5
+_Y_GRID = np.linspace(-QUAD_CLIP, QUAD_CLIP, int(2 * QUAD_CLIP / _PANEL_MAX_LEN) + 1)
 
 
-def _slab_layer_mass(ui, ilo, ihi, x1, x2lo, x2hi) -> float:
-    """integral over [x2lo, x2hi] of phi(x2) * Pr_y(slice(x1, x2)) dx2.
+def _plane_mass(u, lo, hi) -> float:
+    """Standard Gaussian mass of {(x, y) : lo <= u @ (x, y) <= hi}.
 
-    The slice bounds are envelopes of affine functions of x2, so the
-    integrand is analytic between pairwise crossing points; Gauss-Legendre
-    panels between crossings give near machine precision.
+    Rows with no y loading bound x, clipped to |x| <= 9. The others bound the
+    slice at x between envelopes of affine functions of x, so the integrand
+    phi(x) * Pr(y in slice(x)) is analytic between the kinks of those
+    envelopes; 16-node Gauss-Legendre panels between kinks, at most
+    ``_PANEL_MAX_LEN`` wide in x and in every active bound, give near machine
+    precision.
     """
-    if ui.shape[0] == 0:
-        return float(ndtr(x2hi) - ndtr(x2lo))
-    u1, u2, u3 = ui[:, 0], ui[:, 1], ui[:, 2]
-    pos = u3 > 0
-    with np.errstate(invalid="ignore"):
-        p_hi = np.concatenate([(ihi[pos] - u1[pos] * x1) / u3[pos],
-                               (ilo[~pos] - u1[~pos] * x1) / u3[~pos]])
-        p_lo = np.concatenate([(ilo[pos] - u1[pos] * x1) / u3[pos],
-                               (ihi[~pos] - u1[~pos] * x1) / u3[~pos]])
-    q = np.concatenate([-u2[pos] / u3[pos], -u2[~pos] / u3[~pos]])
+    flat = np.abs(u[:, 1]) <= ZERO_COEF
+    xlo, xhi = _interval_from_constraints(u[flat, 0], lo[flat], hi[flat])
+    xlo, xhi = max(xlo, -QUAD_CLIP), min(xhi, QUAD_CLIP)
+    if xhi <= xlo:
+        return 0.0
+    u, lo, hi = u[~flat], lo[~flat], hi[~flat]
+    if u.shape[0] == 0:
+        return float(ndtr(xhi) - ndtr(xlo))
+    pos = u[:, 1] > 0
+    q = -u[:, 0] / u[:, 1]
+    p_hi = np.where(pos, hi, lo) / u[:, 1]
+    p_lo = np.where(pos, lo, hi) / u[:, 1]
 
-    # Panel boundaries: pairwise crossings of all affine bound functions.
-    cuts = {x2lo, x2hi}
-    p_all = np.concatenate([p_hi, p_lo])
-    q_all = np.concatenate([q, q])
-    finite = np.isfinite(p_all)
-    for i in np.flatnonzero(finite):
-        for j in np.flatnonzero(finite):
-            if j <= i or abs(q_all[i] - q_all[j]) <= ZERO_COEF:
-                continue
-            x = (p_all[j] - p_all[i]) / (q_all[i] - q_all[j])
-            if x2lo < x < x2hi:
-                cuts.add(float(x))
-    edges = np.array(sorted(cuts))
+    # Panel boundaries: kinks of the envelopes, i.e. pairwise crossings of the
+    # finite bound functions where both lie on their envelope, and, for a
+    # bound steeper than 1 (it moves faster in y than in x), the points on its
+    # envelope stretch where it crosses the y grid, so no panel moves an active
+    # bound by more than _PANEL_MAX_LEN while |y| <= 9 (beyond, its CDF is flat).
+    p_all, q_all = np.concatenate([p_hi, p_lo]), np.concatenate([q, q])
+    upper_fn = np.arange(p_all.size) < q.size
+    idx = np.flatnonzero(np.isfinite(p_all))
+    i, j = np.triu_indices(idx.size, 1)
+    i, j = idx[i], idx[j]
+    cross = np.abs(q_all[i] - q_all[j]) > ZERO_COEF
+    i, j = i[cross], j[cross]
+    steep = idx[np.abs(q_all[idx]) > 1.0]
+    x = np.concatenate([(p_all[j] - p_all[i]) / (q_all[i] - q_all[j]),
+                        ((_Y_GRID - p_all[steep, None]) / q_all[steep, None]).ravel()])
+    i = np.concatenate([i, np.repeat(steep, _Y_GRID.size)])
+    j = np.concatenate([j, np.repeat(steep, _Y_GRID.size)])
+    keep = (x > xlo) & (x < xhi)
+    x, i, j = x[keep], i[keep], j[keep]
+    y = p_all[i] + q_all[i] * x
+    # rounding of p + q x grows with |p| and |q x|, which are large for steep bounds
+    slack = DEGENERATE_SLACK * (1.0 + np.abs(p_all[i]) + np.abs(q_all[i] * x)
+                                + np.abs(p_all[j]) + np.abs(q_all[j] * x))
+    on_top = y <= np.min(p_hi[:, None] + q[:, None] * x, axis=0) + slack
+    on_bottom = y >= np.max(p_lo[:, None] + q[:, None] * x, axis=0) - slack
+    active = np.where(upper_fn[i], on_top, on_bottom) & np.where(upper_fn[j], on_top, on_bottom)
+    edges = np.unique(np.concatenate([[xlo, xhi], x[active]]))
     # Subdivide long panels so a fixed-order rule stays accurate.
-    refined = [edges[0]]
-    for right in edges[1:]:
-        left = refined[-1]
-        pieces = max(int(math.ceil((right - left) / _PANEL_MAX_LEN)), 1)
-        refined.extend(left + (right - left) * np.arange(1, pieces + 1) / pieces)
-    edges = np.asarray(refined)
+    widths = np.diff(edges)
+    pieces = np.ceil(widths / _PANEL_MAX_LEN).astype(int)
+    half = np.repeat(0.5 * widths / pieces, pieces)
+    within = np.arange(half.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    centers = np.repeat(edges[:-1], pieces) + half * (2 * within + 1)
 
-    lefts, rights = edges[:-1], edges[1:]
-    half = 0.5 * (rights - lefts)
-    centers = 0.5 * (rights + lefts)
-    nodes = centers[:, None] + half[:, None] * _GL_NODES[None, :]
-    weights = half[:, None] * _GL_WEIGHTS[None, :]
-    flat = nodes.ravel()
-    with np.errstate(invalid="ignore"):
-        hi_vals = np.min(p_hi[:, None] + q[:, None] * flat[None, :], axis=0)
-        lo_vals = np.max(p_lo[:, None] + q[:, None] * flat[None, :], axis=0)
-    probs = np.clip(ndtr(hi_vals) - ndtr(lo_vals), 0.0, None)
-    dens = np.exp(-0.5 * flat * flat) / math.sqrt(2.0 * math.pi)
-    return float(np.sum(weights.ravel() * probs * dens))
+    nodes = (centers[:, None] + half[:, None] * _GL_NODES).ravel()
+    weights = (half[:, None] * _GL_WEIGHTS).ravel()
+    y_hi = np.min(p_hi[:, None] + q[:, None] * nodes, axis=0)
+    y_lo = np.max(p_lo[:, None] + q[:, None] * nodes, axis=0)
+    probs = np.clip(ndtr(y_hi) - ndtr(y_lo), 0.0, None)
+    dens = np.exp(-0.5 * nodes * nodes) / math.sqrt(2.0 * math.pi)
+    return float(np.sum(weights * probs * dens))
 
 
 def oracle_rect_prob(model: CorrelationModel, lower, upper) -> ProbabilityEstimate:

@@ -1,5 +1,6 @@
 """Band bodies, exact 2-D polygon operations, H-polytopes, and the simplex."""
 
+import itertools
 import math
 
 import numpy as np
@@ -199,6 +200,26 @@ class TestSupportAndContains:
             model.factor_rows[0] @ model.factor_rows[1])
         assert math.isinf(support_function(band, u))
 
+    def test_partly_thresholded_band_support_is_infinite(self):
+        # HiGHS presolve reported many of these unbounded LPs as infeasible.
+        for seed in range(200):
+            rng = np.random.default_rng([seed, 1])
+            c = np.full(4, np.inf)
+            idx = rng.choice(4, size=1 + seed % 2, replace=False)
+            c[idx] = rng.uniform(0.5, 2.0, size=idx.size)
+            band = SymmetricBand(random_correlation(4, 3, seed), ThresholdVector(c))
+            assert math.isinf(support_function(band, rng.standard_normal(3)))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_hpolytope_support_matches_vertices(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(10):
+            body = random_unconditional_hpolytope(rng, dim, extra=int(rng.integers(0, 3)))
+            verts = _vertices_bruteforce(body)
+            for u in rng.standard_normal((5, dim)):
+                expect = oracles.support_bruteforce(verts, u)
+                assert abs(support_function(body, u) - expect) <= 1e-9
+
     def test_origin_inside_everything(self):
         p = random_symmetric_polygon(3)
         assert contains(p, [0.0, 0.0])
@@ -311,6 +332,19 @@ def _probe_points(k, t, seed: int) -> np.ndarray:
 _seeds = st.integers(0, 2**32 - 1)
 
 
+def _vertices_bruteforce(body: HPolytope) -> np.ndarray:
+    """Feasible intersections of every d-subset of facets."""
+    pts = []
+    for rows in itertools.combinations(range(len(body.offsets)), body.dim):
+        mat = body.normals[list(rows)]
+        if abs(np.linalg.det(mat)) < 1e-12:
+            continue
+        v = np.linalg.solve(mat, body.offsets[list(rows)])
+        if body.contains_point(v, tol=1e-9):
+            pts.append(v)
+    return np.asarray(pts)
+
+
 class TestMinkowskiSum:
     @settings(max_examples=25, deadline=None)
     @given(seed=_seeds, dim=st.sampled_from([2, 3]))
@@ -400,6 +434,36 @@ class TestHPolytope:
         body = HPolytope.symmetric(u, rng.uniform(0.5, 2.0, size=rows), check_bounded=False)
         assert body.is_bounded() == (rank == dim)
         assert body.is_bounded() == _lp_bounded(body)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=_seeds, dim=st.integers(1, 3), unconditional=st.booleans(),
+           flip=st.booleans(), nudge=st.booleans())
+    def test_symmetry_rules_match_reference_loop(self, seed, dim, unconditional, flip, nudge):
+        rng = np.random.default_rng(seed)
+        if unconditional:
+            body = random_unconditional_hpolytope(rng, dim, extra=int(rng.integers(0, 3)))
+        else:  # closed under negation only
+            body = HPolytope.symmetric(rng.standard_normal((dim + 2, dim)),
+                                       rng.uniform(0.5, 2.0, size=dim + 2), check_bounded=False)
+        a, b = body.normals.copy(), body.offsets.copy()
+        row = int(rng.integers(len(b)))
+        if flip:  # flip one coordinate of one row: usually breaks unconditionality
+            a[row, int(rng.integers(dim))] *= -1.0
+        if nudge:  # push one row off its partners by 1e-6, far above the match tolerance
+            a[row] += 1e-6
+        poly = HPolytope(a, b)
+
+        def closed(sign_vectors):
+            for u, c in zip(a, b):
+                for s in sign_vectors:
+                    match = (np.linalg.norm(a - np.asarray(s) * u, axis=1) <= 1e-9) & \
+                            (np.abs(b - c) <= 1e-9)
+                    if not match.any():
+                        return False
+            return True
+
+        assert poly._negation_closed() == closed([-np.ones(dim)])
+        assert poly.is_unconditional() == closed(list(itertools.product((1.0, -1.0), repeat=dim)))
 
     def test_rejects_unbounded(self):
         with pytest.raises(DegenerateInput):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from gcilab import measure
 from gcilab.convexgeom import (
     HPolytope,
     Polygon2D,
@@ -83,6 +84,27 @@ class TestGaussMeasureMc:
             normals, offsets = p.edge_normals()
             exact = oracle_region_prob(normals, -np.inf * np.ones(len(offsets)), offsets)
             assert abs(mc.value - exact) <= 3 * mc.stderr + 1e-7
+
+
+class TestMcChunking:
+    """Estimates do not depend on how the sample draw is chunked."""
+
+    def test_chunk_size_invariance(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        k3, t3 = random_unconditional_hpolytope(rng, 3), random_unconditional_hpolytope(rng, 3)
+        k2, t2 = random_unconditional_hpolytope(rng, 2), random_unconditional_hpolytope(rng, 2)
+        poly = random_symmetric_polygon(rng)
+        k1, t1 = HPolytope.axis_box([1.0]), HPolytope.axis_box([1e-3])  # screened path, d = 1
+
+        def estimates():
+            return [gauss_measure_mc(k3, 3, 100_000, 1), gauss_measure_mc(poly, 2, 100_000, 2),
+                    minkowski_measure_mc(k2, t2, 2, 100_000, 3),
+                    minkowski_measure_mc(k3, t3, 3, 100_000, 4),
+                    minkowski_measure_mc(k1, t1, 1, 100_000, 5)]
+
+        default = estimates()
+        monkeypatch.setattr(measure, "MC_CHUNK", 1000)
+        assert estimates() == default
 
 
 class TestMinkowskiMeasureMc:

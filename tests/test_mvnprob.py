@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from gcilab.errors import (
@@ -14,6 +16,7 @@ from gcilab.errors import (
 )
 from gcilab.gaussmodel import ThresholdVector, from_covariance, random_correlation
 from gcilab.mvnprob import (
+    ORACLE_TOL,
     inv_std_normal_cdf,
     oracle_rect_prob,
     oracle_region_prob,
@@ -229,6 +232,52 @@ class TestOracle:
                   * oracles.sym_prob_quad(2.0))
         assert abs(est.value - expect) <= 1e-7
 
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_large_rank_two_bands(self, n):
+        # Hundreds of pairwise crossings, more breakpoints than scipy's quad
+        # accepts (it raises ValueError past its subinterval limit).
+        m = random_correlation(n, 2, 900 + n)
+        c = np.random.default_rng(n).uniform(0.8, 3.0, size=n)
+        oracle_est = oracle_rect_prob(m, -c, c)
+        qmc_est = rect_prob(m, -c, c, budget=2 ** 16, seed=n)
+        assert abs(oracle_est.value - qmc_est.value) <= 3 * qmc_est.stderr + ORACLE_TOL
+
+    def test_three_dimensional_vertex_kinks(self):
+        # The layer mass has kinks at the vertices' first coordinates; unless
+        # they are breakpoints, quad's error estimate misses them (1.5e-6 here).
+        m = random_correlation(3, 3, 208)
+        lo = np.array([-2.39928877, -1.80025343, -0.75676462])
+        hi = np.array([1.5050067, 2.33846238, 2.0380234])
+        qmc_est = rect_prob(m, lo, hi, budget=2 ** 16, seed=208)
+        assert abs(oracle_rect_prob(m, lo, hi).value - qmc_est.value) <= \
+            3 * qmc_est.stderr + ORACLE_TOL
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rotated_box_is_rotation_invariant(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(5):
+            rot, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            c = rng.uniform(0.3, 2.5, size=d)
+            lo = np.where(rng.random(d) < 0.3, -np.inf, -c)
+            expect = math.prod(std_normal_cdf(b) - std_normal_cdf(a) for a, b in zip(lo, c))
+            assert abs(oracle_region_prob(rot, lo, c) - expect) <= ORACLE_TOL
+
+    @pytest.mark.parametrize("theta", [1e-2, 1e-4, 1e-8])
+    def test_nearly_axis_aligned_rows(self, theta):
+        # A row almost along x makes a steep bound on y; where no other bound
+        # crosses it, a fixed-width panel rule in x misses how fast its CDF moves.
+        rot = np.array([[math.cos(theta), -math.sin(theta)],
+                        [math.sin(theta), math.cos(theta)]])
+        lo, hi = np.array([-1.4, -np.inf]), np.array([0.9, 2.2])
+        expect = (std_normal_cdf(0.9) - std_normal_cdf(-1.4)) * std_normal_cdf(2.2)
+        assert abs(oracle_region_prob(rot, lo, hi) - expect) <= 1e-12
+
+    def test_one_dimensional_is_exact_cdf_difference(self):
+        rows = np.array([[2.0], [-0.5]])
+        val = oracle_region_prob(rows, np.array([-1.0, -np.inf]), np.array([3.0, 0.4]))
+        # 2y in [-1, 3] and -y/2 <= 0.4 give y in [-0.5, 1.5]
+        assert val == std_normal_cdf(1.5) - std_normal_cdf(-0.5)
+
     def test_region_prob_handles_degenerate_rows(self):
         rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         val = oracle_region_prob(rows, np.array([-1.0, -2.0, -1.0]),
@@ -238,6 +287,20 @@ class TestOracle:
 
 
 class TestQmcOracleAgreement:
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), data=st.data())
+    def test_property(self, seed, n, data):
+        d = data.draw(st.integers(1, min(n, 3)))
+        rng = np.random.default_rng(seed)
+        m = random_correlation(n, d, seed)
+        lo = -rng.uniform(0.3, 2.5, size=n)
+        hi = rng.uniform(0.3, 2.5, size=n)
+        lo[rng.random(n) < 0.2] = -np.inf
+        qmc_est = rect_prob(m, lo, hi, budget=2 ** 16, seed=seed)
+        oracle_est = oracle_rect_prob(m, lo, hi)
+        tol = 3 * qmc_est.stderr + 3 * oracle_est.stderr
+        assert abs(qmc_est.value - oracle_est.value) <= tol
+
     def test_sweep(self):
         rng = np.random.default_rng(0)
         for seed in range(10):
