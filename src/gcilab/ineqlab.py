@@ -548,11 +548,9 @@ def hull_counterexample(n_parameter: float, budget: int = 1 << 20,
     gamma(K) gamma(T) uses the exact hull polygon (Monte Carlo measure) and
     closed forms for the three axis boxes. The reduction trace compares
     gamma_1([-N, N]) with gamma_1 of the interval produced by rotating the
-    enclosing diamond, evaluated by quadrature; a positive gap shows the
-    convex hull cannot replace the Minkowski sum.
+    enclosing diamond, both in closed form; a positive gap shows the convex
+    hull cannot replace the Minkowski sum.
     """
-    from .mvnprob import oracle_region_prob
-
     if not (n_parameter > 0):
         raise InvalidParameters("N must be positive")
     n = float(n_parameter)
@@ -562,9 +560,9 @@ def hull_counterexample(n_parameter: float, budget: int = 1 << 20,
     rhs = [_box_or_polygon(k), _box_or_polygon(t)]
     report = _evaluate("hull-counterexample", {"N": n}, lhs, rhs, budget, seed)
 
-    wide = oracle_region_prob(np.array([[1.0]]), np.array([-n]), np.array([n]))
+    wide = sym_interval_prob(n)
     half = (n + 1.0 / n) / math.sqrt(2.0)
-    diamond = oracle_region_prob(np.array([[1.0]]), np.array([-half]), np.array([half]))
+    diamond = sym_interval_prob(half)
     return HullCounterexample(
         report=report,
         n_parameter=n,
@@ -687,13 +685,13 @@ class SearchResult:
         })
 
 
-def _hull_family(x, budget, child):
+def _hull_family(x, budget, key):
     n = float(np.exp(np.clip(x[0], -2.0, 2.0)))
-    rep = hull_counterexample(n, budget, child).report
+    rep = hull_counterexample(n, budget, key).report
     return rep.margin, rep.stderr, {"N": n}
 
 
-def _rotated_family(x, budget, child):
+def _rotated_family(x, budget, key):
     aspect = float(np.exp(np.clip(x[0], -1.5, 1.5)))
     angle = float(x[1])
     rho = float(np.tanh(x[2]) * 0.95)
@@ -702,18 +700,18 @@ def _rotated_family(x, budget, child):
     shear = np.linalg.cholesky(np.array([[1.0, rho], [rho, 1.0]]))
     p = Polygon2D.box(aspect, 1.0 / aspect)
     q = p.transformed(shear @ rot)
-    rep = check_strong_gci_2d(p, q, budget, child)
+    rep = check_strong_gci_2d(p, q, budget, key)
     return rep.margin, rep.stderr, {"aspect": aspect, "angle": angle, "rho": rho}
 
 
-def _band_family(x, budget, child):
+def _band_family(x, budget, key):
     lo, hi = math.log(0.1), math.log(3.0)
     s = ThresholdVector(np.exp(np.clip(x[:3], lo, hi)))
     t = ThresholdVector(np.exp(np.clip(x[3:], lo, hi)))
     from .gaussmodel import random_correlation
 
-    model = random_correlation(3, 2, 20_000 + int(child.generate_state(1)[0] % 1000))
-    rep = check_strong_gci_bands(model, s, t, budget, child)
+    model = random_correlation(3, 2, 20_000 + key % 1000)
+    rep = check_strong_gci_bands(model, s, t, budget, key)
     return rep.margin, rep.stderr, {"s": s.as_array, "t": t.as_array}
 
 
@@ -728,8 +726,9 @@ def search_counterexample(family: str, steps: int, budget: int = 1 << 14,
                           seed=0) -> SearchResult:
     """Derivative-free margin minimization over a parameterized family.
 
-    Nelder-Mead from the family's canonical start plus 4 random restarts,
-    with common random numbers inside each restart so the objective is a
+    Nelder-Mead from the family's canonical start plus 4 random restarts.
+    Each restart evaluates every point with one integer seed key drawn from
+    ``seed`` (common random numbers), so within a restart the objective is a
     deterministic function of the parameters. ``steps`` caps objective
     evaluations per restart; ``steps == 1`` just scores the canonical
     instance. Always returns the best instance found.
@@ -743,8 +742,8 @@ def search_counterexample(family: str, steps: int, budget: int = 1 << 14,
     trace: list[tuple[dict, float]] = []
     best = {"margin": np.inf, "stderr": 0.0, "params": {}, "evals": 0}
 
-    def scored(x, child):
-        margin, stderr, params = objective(np.atleast_1d(x), budget, child)
+    def scored(x, key):
+        margin, stderr, params = objective(np.atleast_1d(x), budget, key)
         best["evals"] += 1
         if len(trace) < 512:
             trace.append((params, margin))
@@ -752,16 +751,16 @@ def search_counterexample(family: str, steps: int, budget: int = 1 << 14,
             best.update(margin=margin, stderr=stderr, params=params)
         return margin
 
-    children = seed_seq.spawn(5)
+    keys = [int(child.generate_state(1)[0]) for child in seed_seq.spawn(5)]
     if steps == 1:
-        scored(x0, children[0])
+        scored(x0, keys[0])
     else:
         starts = [x0]
         rng = np.random.default_rng(seed_seq.spawn(1)[0])
         for _ in range(4):
             starts.append(x0 + spread * rng.standard_normal(x0.shape))
-        for x_start, child in zip(starts, children):
-            minimize(lambda x: scored(x, child), x_start, method="Nelder-Mead",
+        for x_start, key in zip(starts, keys):
+            minimize(lambda x: scored(x, key), x_start, method="Nelder-Mead",
                      options={"maxfev": steps, "xatol": 1e-3, "fatol": 1e-6,
                               "disp": False})
     return SearchResult(

@@ -216,11 +216,11 @@ def _transform_plan(ell):
     return free, folds, constant_rows, needs_y
 
 
-def _genz_product(ell, a, b, w):
-    """Sequential-conditioning integrand over uniforms w of shape (m, npts)."""
+def _genz_product(ell, plan, a, b, w):
+    """Sequential-conditioning integrand over uniforms w of shape (m, npts); plan from ell."""
     n = ell.shape[0]
     npts = w.shape[1] if w.size else 1
-    free, folds, constant_rows, needs_y = _transform_plan(ell)
+    free, folds, constant_rows, needs_y = plan
     f = np.ones(npts)
     for r in constant_rows:
         # Zero-variance coordinate: its value is exactly 0.
@@ -252,10 +252,6 @@ def _genz_product(ell, a, b, w):
             y[i] = ndtri(u)
             col += 1
     return f
-
-
-def _qmc_dimension(ell) -> int:
-    return int(_transform_plan(ell)[3].sum())
 
 
 def _primes_up_to(n: int) -> np.ndarray:
@@ -345,13 +341,14 @@ def rect_prob(
         raise InvalidParameters("at least 2 randomization replicates are required")
 
     ell, a, b = _conditioning_system(model.sigma, lower, upper)
-    m = _qmc_dimension(ell)
+    plan = _transform_plan(ell)
+    m = int(plan[3].sum())
     seed_seq, seed_int = _as_seed_sequence(seed)
 
     if m == 0:
         # Product-form or fully degenerate system: the integrand is constant
         # and the value is exact up to representation rounding.
-        value = float(_genz_product(ell, a, b, np.zeros((0, 1)))[0])
+        value = float(_genz_product(ell, plan, a, b, np.zeros((0, 1)))[0])
         return ProbabilityEstimate(min(max(value, 0.0), 1.0), QMC_STDERR_FLOOR,
                                    0, METHOD_QMC, seed_int)
 
@@ -363,7 +360,7 @@ def rect_prob(
         z = base + shift[:, None]
         z -= np.floor(z)
         w = np.abs(2.0 * z - 1.0)  # tent periodization
-        values[r] = float(np.mean(_genz_product(ell, a, b, w)))
+        values[r] = float(np.mean(_genz_product(ell, plan, a, b, w)))
     value = float(np.mean(values))
     stderr = max(float(np.std(values, ddof=1) / math.sqrt(replicates)), QMC_STDERR_FLOOR)
     return ProbabilityEstimate(

@@ -5,8 +5,10 @@ The classical Sidak rectangle for k standardized coordinates at level
 Because the joint-to-product ratio A(a) at widened thresholds c + a is a
 certified lower bound for the coverage ratio at c itself, any a with
 A(a) > 1 raises the certified level of the same rectangle to A(a)(1-alpha).
-This module searches a geometric grid of widenings, reports conservative
-lower confidence bounds, and inverts the bound into a smaller critical value.
+This module searches a geometric grid of widenings for the certified level,
+and inverts the direct lower confidence bound on the joint coverage (A(0)
+times the marginals, which no widening can exceed) into a smaller critical
+value.
 """
 
 from __future__ import annotations
@@ -17,13 +19,8 @@ from dataclasses import dataclass
 
 from .errors import NotStandardized, OutOfRange
 from .gaussmodel import CorrelationModel, ThresholdVector
-from .ineqlab import CLOSED_TOL, Estimate, json_safe
-from .mvnprob import (
-    _as_seed_sequence,
-    inv_std_normal_cdf,
-    sym_interval_prob,
-    symmetric_rect_prob,
-)
+from .ineqlab import Estimate, json_safe, sidak_ratio
+from .mvnprob import _as_seed_sequence, inv_std_normal_cdf, symmetric_rect_prob
 
 A_GRID = tuple(0.05 * 2.0 ** j for j in range(9)) + (math.inf,)
 BISECTION_RESOLUTION = 1e-3
@@ -58,14 +55,10 @@ def improvement_factor(model: CorrelationModel, c: float, a: float,
         raise OutOfRange("critical value c must be positive")
     if a < 0:
         raise OutOfRange("widening a must be nonnegative")
-    n = model.size
     if math.isinf(a):
         return Estimate(1.0, 0.0)
-    level = c + a
-    joint = symmetric_rect_prob(model, ThresholdVector.constant(n, level),
-                                budget, seed, replicates)
-    product = Estimate(sym_interval_prob(level), CLOSED_TOL).powered(n)
-    return Estimate(joint.value, joint.stderr).over(product)
+    return sidak_ratio(model, ThresholdVector.constant(model.size, c + a),
+                       budget, seed, replicates)
 
 
 @dataclass(frozen=True)
@@ -150,41 +143,33 @@ def improved_confidence(model: CorrelationModel, alpha: float,
     )
 
 
-def _certified_level(model: CorrelationModel, c: float, a_grid, budget,
-                     seed_seq, replicates) -> float:
-    """Best lower confidence bound on joint coverage at c over the widening grid."""
-    n = model.size
-    best = 0.0
-    for a, child in zip(a_grid, seed_seq.spawn(len(a_grid))):
-        est = improvement_factor(model, c, a, budget, child, replicates)
-        lower = (est.value - 3.0 * est.stderr) * sym_interval_prob(c) ** n
-        best = max(best, lower)
-    return best
-
-
 def improved_critical_value(model: CorrelationModel, alpha: float,
                             budget: int = 1 << 14, seed=0,
                             replicates: int = 12) -> float:
     """Smallest c' whose certified coverage bound reaches 1 - alpha.
 
-    Bisection over [z_(alpha/2), c_classical] on the refined bound
-    max_a A_lower(c', a) * prod_i Pr(|Y_i| <= c'), with a = 0 included so the
-    direct joint estimate participates. Never exceeds the classical value;
-    resolution 1e-3.
+    Bisection over [z_(alpha/2), c_classical] on the direct lower 3-sigma
+    bound of Pr(all |Y_i| <= c'). No widening is searched: A(a) <= A(0), so
+    a widened factor times the marginals can exceed the direct bound only by
+    noise. Every evaluation uses one integer key drawn from ``seed``, hence
+    the same lattice and shifts (common random numbers), so the bound is a
+    fixed function of c' and the bisection does not steer on fresh noise.
+    Falls back to the classical value, which always covers; resolution 1e-3.
     """
     _require_standardized(model)
     if not (0.0 < alpha < 1.0):
         raise OutOfRange(f"alpha={alpha} outside (0, 1)")
     seed_seq, _ = _as_seed_sequence(seed)
+    key = int(seed_seq.generate_state(1)[0])
     n = model.size
-    grid = (0.0,) + tuple(a for a in A_GRID if math.isfinite(a))
     target = 1.0 - alpha
     hi = sidak_critical_value(alpha, n)
     lo = inv_std_normal_cdf(1.0 - alpha / 2.0)
-    children = iter(seed_seq.spawn(64))
 
     def certified(value: float) -> float:
-        return _certified_level(model, value, grid, budget, next(children), replicates)
+        joint = symmetric_rect_prob(model, ThresholdVector.constant(n, value),
+                                    budget, key, replicates)
+        return joint.value - 3.0 * joint.stderr
 
     if certified(lo) >= target:
         return lo

@@ -18,9 +18,11 @@ from gcilab.convexgeom import (
 from gcilab.errors import DimensionMismatch, InvalidParameters, NotUnconditional
 from gcilab.gaussmodel import ThresholdVector, from_covariance, random_correlation
 from gcilab.ineqlab import (
+    _FAMILY_SETUP,
     EXPLORATORY,
     INCONCLUSIVE,
     REPORT_SCHEMA,
+    SEARCH_FAMILIES,
     SUPPORTED,
     THEOREM_BACKED,
     VIOLATED,
@@ -523,6 +525,15 @@ class TestSearch:
     def test_unknown_family(self):
         with pytest.raises(InvalidParameters):
             search_counterexample("spheres", steps=3, budget=20_000, seed=0)
+
+    @pytest.mark.parametrize("family", SEARCH_FAMILIES)
+    def test_objective_is_fixed_for_one_key(self, family):
+        # Common random numbers: one restart key gives one margin per point.
+        objective, x0, spread = _FAMILY_SETUP[family]
+        x = x0 + 0.1 * spread
+        first = objective(x, 12_000, 2_718_281_828)
+        second = objective(x, 12_000, 2_718_281_828)
+        assert first[:2] == second[:2]
 
 
 class TestReportSerialization:

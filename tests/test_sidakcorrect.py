@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import oracles
 from gcilab.errors import NotStandardized, OutOfRange
 from gcilab.gaussmodel import equicorrelated, from_covariance, random_correlation
 from gcilab.ineqlab import sidak_ratio
 from gcilab.gaussmodel import ThresholdVector
+from gcilab.mvnprob import oracle_region_prob
 from gcilab.sidakcorrect import (
     correction_table,
     improved_confidence,
@@ -140,3 +142,19 @@ class TestImprovedCriticalValue:
         draws = rng.standard_normal(1_000_000)
         coverage = float(np.mean(np.abs(draws) <= cv))  # Y1 = Y2 for this model
         assert coverage >= 0.95 - 0.005
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1])
+    def test_rank_two_inversion_against_oracle(self, alpha):
+        # The certified c' covers at 1 - alpha and sits near the exact root c*.
+        for seed in range(10):
+            k = 4 + seed % 5
+            model = random_correlation(k, 2, seed + 900)
+
+            def coverage(c):
+                return oracle_region_prob(model.factor_rows, np.full(k, -c), np.full(k, c))
+
+            cv = improved_critical_value(model, alpha, budget=2 ** 13, seed=seed)
+            c_star = brentq(lambda c: coverage(c) - (1.0 - alpha),
+                            0.5, sidak_critical_value(alpha, k) + 1.0, xtol=1e-10)
+            assert coverage(cv) >= 1.0 - alpha
+            assert cv - c_star <= 5e-3
