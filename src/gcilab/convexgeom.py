@@ -11,6 +11,10 @@ Three representations share one toolbox:
   ``minkowski_sum`` builds the exact facet form of K + T with Qhull; in other
   dimensions sum membership is decided point by point by phase-1 simplex
   feasibility (``minkowski_contains``).
+
+``scipy.optimize`` and ``scipy.spatial`` are imported inside the functions
+that use them: they are most of the package's cold start, and most calls never
+reach them.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from dataclasses import dataclass
 from itertools import product as _iterproduct
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection, cKDTree
 
 from .errors import (
     DegenerateInput,
@@ -452,6 +454,8 @@ class HPolytope:
 
 
 def _support_lp(a: np.ndarray, b: np.ndarray, direction: np.ndarray) -> float:
+    from scipy.optimize import linprog
+
     # HiGHS presolve reports some unbounded LPs as infeasible (status 2);
     # without it they come back as status 3.
     res = linprog(-direction, A_ub=a, b_ub=b, bounds=[(None, None)] * a.shape[1],
@@ -507,6 +511,8 @@ def polytope_vertices(body: HPolytope) -> np.ndarray:
     The origin is interior because every offset is positive. A vertex where
     more than d facets meet may be listed more than once.
     """
+    from scipy.spatial import HalfspaceIntersection
+
     halfspaces = np.column_stack([body.normals, -body.offsets])
     return HalfspaceIntersection(halfspaces, np.zeros(body.dim)).intersections
 
@@ -518,6 +524,8 @@ def minkowski_sum(k: HPolytope, t: HPolytope) -> HPolytope:
     equation per triangle of that hull, so the equations of coplanar
     triangles are merged into one facet each.
     """
+    from scipy.spatial import ConvexHull, cKDTree
+
     if k.dim != t.dim:
         raise DimensionMismatch("summands live in different dimensions")
     if k.dim not in EXACT_SUM_DIMS:

@@ -255,8 +255,11 @@ class ThresholdVector:
 
 def _read_csv_rows(path) -> list[list[float]]:
     rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedInput(f"cannot read {path}: {exc}") from exc
     for k, line in enumerate(lines):
         line = line.strip()
         if not line:

@@ -15,6 +15,9 @@ Tehranchi's constant-loss bound, Rogers-Shephard areas) are theorem backed:
 a violated verdict indicates a bug and fails the suite. Checkers for the
 conjectured strong correlation inequality are exploratory: violations are
 findings, reported but not fatal.
+
+``scipy.optimize`` is imported inside ``search_counterexample``, its one user:
+it is most of the package's cold start, and most calls never search.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .convexgeom import (
     EXACT_SUM_DIMS,
@@ -46,7 +48,13 @@ from .errors import (
 )
 from .gaussmodel import CorrelationModel, ThresholdVector, product_model
 from .measure import gauss_measure_mc, minkowski_measure_mc
-from .mvnprob import ProbabilityEstimate, _as_seed_sequence, sym_interval_prob, symmetric_rect_prob
+from .mvnprob import (
+    ProbabilityEstimate,
+    _as_seed_sequence,
+    _children,
+    sym_interval_prob,
+    symmetric_rect_prob,
+)
 
 CLOSED_TOL = 1e-12
 GEOM_EQ_TOL = 1e-12
@@ -213,19 +221,20 @@ def _evaluate(label, instance, lhs, rhs, budget, seed, replicates: int = 12) -> 
     """Measure both sides of prod(lhs) >= prod(rhs) and classify the margin.
 
     A term is a closed-form ``Estimate`` or a body for ``_measure``. Each body
-    term gets its own child of ``seed``, spawned in declared order, LHS first;
-    each side is the ``Estimate.times`` product of its terms. A comparison
-    without body terms may pass ``seed=None``.
+    term gets its own child of ``seed`` (``_children``), in declared order, LHS
+    first; each side is the ``Estimate.times`` product of its terms. A
+    comparison without body terms may pass ``seed=None``.
     """
     t0 = time.perf_counter()
-    closed = all(isinstance(term, Estimate) for term in (*lhs, *rhs))
-    seed_seq, seed_int = (None, None) if seed is None and closed else _as_seed_sequence(seed)
+    bodies = sum(not isinstance(term, Estimate) for term in (*lhs, *rhs))
+    seed_seq, seed_int = (None, None) if seed is None and not bodies else _as_seed_sequence(seed)
+    children = iter(_children(seed_seq, bodies) if bodies else ())
     sides = []
     for terms in (lhs, rhs):
         product = Estimate(1.0, 0.0)
         for term in terms:
             if not isinstance(term, Estimate):
-                term = _measure(term, budget, seed_seq.spawn(1)[0], replicates)
+                term = _measure(term, budget, next(children), replicates)
             product = product.times(term)
         sides.append(product)
     lhs_product, rhs_product = sides
@@ -632,7 +641,7 @@ def tensorize_check(model: CorrelationModel, s: ThresholdVector, t: ThresholdVec
         raise InvalidParameters("tensorization check supports N in {2, 3}")
     t0 = time.perf_counter()
     seed_seq, seed_int = _as_seed_sequence(seed)
-    s_base, s_prod = seed_seq.spawn(2)
+    s_base, s_prod = _children(seed_seq, 2)
     base = strong_ratio(model, s, t, budget, s_base, replicates)
     big = product_model(model, copies)
     prod = strong_ratio(big, s.tiled(copies), t.tiled(copies), budget, s_prod, replicates)
@@ -751,12 +760,15 @@ def search_counterexample(family: str, steps: int, budget: int = 1 << 14,
             best.update(margin=margin, stderr=stderr, params=params)
         return margin
 
-    keys = [int(child.generate_state(1)[0]) for child in seed_seq.spawn(5)]
+    *key_children, start_child = _children(seed_seq, 6)
+    keys = [int(child.generate_state(1)[0]) for child in key_children]
     if steps == 1:
         scored(x0, keys[0])
     else:
+        from scipy.optimize import minimize
+
         starts = [x0]
-        rng = np.random.default_rng(seed_seq.spawn(1)[0])
+        rng = np.random.default_rng(start_child)
         for _ in range(4):
             starts.append(x0 + spread * rng.standard_normal(x0.shape))
         for x_start, key in zip(starts, keys):

@@ -13,6 +13,10 @@ A deterministic quadrature oracle covers factor dimension d <= 3 and is the
 independent cross-check for the sampling engine: one planar Gauss-Legendre
 layer integrates d <= 2 regions, and adaptive quadrature over the first
 factor integrates those layers for d = 3.
+
+``scipy.integrate`` is imported inside the d = 3 oracle branch, the one place
+that uses it: it pulls in ``scipy.optimize``, which together with it is most of
+the package's cold start, and most calls never reach that branch.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.fft import fft, ifft
-from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
 from .errors import (
@@ -45,6 +48,7 @@ QMC_STDERR_FLOOR = 1e-15  # accumulated representation rounding of the estimate
 QUAD_CLIP = 9.0          # |x| > 9 carries mass < 2e-19, below every tolerance
 DEGENERATE_SLACK = 1e-9  # membership slack for rank-deficient coordinates
 ZERO_COEF = 1e-13
+QMC_BLOCK = 1 << 17      # coordinates (n x points) per kernel call: 1 MB per array
 
 METHOD_CLOSED = "closed-form"
 METHOD_ORACLE = "quadrature-oracle"
@@ -110,6 +114,19 @@ def _as_seed_sequence(seed) -> tuple[np.random.SeedSequence, int | None]:
     if seed is None:
         raise InvalidParameters("an integer seed is required for reproducibility")
     return np.random.SeedSequence(int(seed)), int(seed)
+
+
+def _children(seed_seq: np.random.SeedSequence, k: int) -> list[np.random.SeedSequence]:
+    """The k children ``seed_seq.spawn(k)`` would return, without advancing its counter.
+
+    Spawning advances the parent's child counter, so a ``SeedSequence`` passed
+    twice would give two different estimates; these children depend on the
+    parent's state alone.
+    """
+    start = seed_seq.n_children_spawned
+    return [np.random.SeedSequence(seed_seq.entropy, spawn_key=seed_seq.spawn_key + (i,),
+                                   pool_size=seed_seq.pool_size)
+            for i in range(start, start + k)]
 
 
 def _conditioning_system(sigma, lower, upper, tol: float = 1e-10):
@@ -217,25 +234,29 @@ def _transform_plan(ell):
 
 
 def _genz_product(ell, plan, a, b, w):
-    """Sequential-conditioning integrand over uniforms w of shape (m, npts); plan from ell."""
+    """Sequential-conditioning integrand over uniforms w of shape (..., m, npts); plan from ell.
+
+    Leading axes are a batch: each (m, npts) slice gets the same matrix-vector
+    products it would get alone, so its values do not depend on the batch.
+    """
     n = ell.shape[0]
-    npts = w.shape[1] if w.size else 1
+    shape = w.shape[:-2] + w.shape[-1:]
     free, folds, constant_rows, needs_y = plan
-    f = np.ones(npts)
+    f = np.ones(shape)
     for r in constant_rows:
         # Zero-variance coordinate: its value is exactly 0.
         if not (a[r] <= DEGENERATE_SLACK and b[r] >= -DEGENERATE_SLACK):
-            return np.zeros(npts)
-    y = np.zeros((n, npts))
+            return np.zeros(shape)
+    y = np.zeros(w.shape[:-2] + (n,) + w.shape[-1:])
     col = 0
     for i in range(n):
         if not free[i]:
             continue
-        s = ell[i, :i] @ y[:i] if i else np.zeros(npts)
+        s = ell[i, :i] @ y[..., :i, :] if i else 0.0
         lo_bound = a[i] - s
         hi_bound = b[i] - s
         for r in folds.get(i, ()):
-            sr = ell[r, :i] @ y[:i] if i else np.zeros(npts)
+            sr = ell[r, :i] @ y[..., :i, :] if i else 0.0
             cr = ell[r, i]
             if cr > 0:
                 lo_bound = np.maximum(lo_bound, (a[r] - sr) / cr)
@@ -245,11 +266,11 @@ def _genz_product(ell, plan, a, b, w):
                 hi_bound = np.minimum(hi_bound, (a[r] - sr) / cr)
         lo = ndtr(lo_bound)
         hi = ndtr(hi_bound)
-        diff = np.clip(hi - lo, 0.0, None)
+        diff = np.maximum(hi - lo, 0.0)
         f = f * diff
         if needs_y[i]:
-            u = np.clip(lo + w[col] * diff, CDF_FLOOR, 1.0 - 1e-16)
-            y[i] = ndtri(u)
+            u = np.clip(lo + w[..., col, :] * diff, CDF_FLOOR, 1.0 - 1e-16)
+            y[..., i, :] = ndtri(u)
             col += 1
     return f
 
@@ -324,9 +345,13 @@ def rect_prob(
     The budget is a total sample target split over `replicates` independently
     shifted copies of a rank-1 lattice (point count rounded down to a prime
     so the fast CBC construction applies; a tent transform periodizes the
-    integrand). The standard error is the replicate spread divided by
-    sqrt(replicates). Results are reproducible from (seed, budget, replicates)
-    alone and independent of evaluation order.
+    integrand). Replicate r is shifted by uniforms drawn from the r-th child
+    of `seed` (``_children``, which leaves a ``SeedSequence`` argument
+    unchanged). The integrand is evaluated on blocks of whole replicates of
+    at most ``QMC_BLOCK`` coordinates (n x points) each, and each replicate's
+    value is the mean over its own points. The standard error is the
+    replicate spread divided by sqrt(replicates). Results are reproducible
+    from (seed, budget, replicates) alone and independent of the block size.
     """
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
@@ -354,13 +379,15 @@ def rect_prob(
 
     q, per_replicate = _cbc_lattice(m, max(budget // replicates, 3))
     base = np.outer(np.asarray(q), np.arange(1, per_replicate + 1))
+    shifts = np.stack([np.random.default_rng(child).random(m)
+                       for child in _children(seed_seq, replicates)])  # (replicates, m)
+    block = max(1, QMC_BLOCK // (n * per_replicate))
     values = np.empty(replicates)
-    for r, child in enumerate(seed_seq.spawn(replicates)):
-        shift = np.random.default_rng(child).random(m)
-        z = base + shift[:, None]
+    for r in range(0, replicates, block):
+        z = base + shifts[r:r + block, :, None]  # (block, m, points)
         z -= np.floor(z)
         w = np.abs(2.0 * z - 1.0)  # tent periodization
-        values[r] = float(np.mean(_genz_product(ell, plan, a, b, w)))
+        values[r:r + block] = _genz_product(ell, plan, a, b, w).mean(axis=1)
     value = float(np.mean(values))
     stderr = max(float(np.std(values, ddof=1) / math.sqrt(replicates)), QMC_STDERR_FLOOR)
     return ProbabilityEstimate(
@@ -430,6 +457,8 @@ def oracle_region_prob(rows, lower, upper, tol: float = ORACLE_TOL) -> float:
     if d <= 2:
         value = _plane_mass(np.hstack([rows, np.zeros((rows.shape[0], 2 - d))]), lower, upper)
     else:
+        from scipy.integrate import quad
+
         pure = np.all(np.abs(rows[:, 1:]) <= ZERO_COEF, axis=1)
         x1lo, x1hi = _interval_from_constraints(rows[pure, 0], lower[pure], upper[pure])
         x1lo, x1hi = max(x1lo, -QUAD_CLIP), min(x1hi, QUAD_CLIP)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .errors import NotStandardized, OutOfRange
 from .gaussmodel import CorrelationModel, ThresholdVector
 from .ineqlab import Estimate, json_safe, sidak_ratio
-from .mvnprob import _as_seed_sequence, inv_std_normal_cdf, symmetric_rect_prob
+from .mvnprob import _as_seed_sequence, _children, inv_std_normal_cdf, symmetric_rect_prob
 
 A_GRID = tuple(0.05 * 2.0 ** j for j in range(9)) + (math.inf,)
 BISECTION_RESOLUTION = 1e-3
@@ -112,7 +112,7 @@ def improved_confidence(model: CorrelationModel, alpha: float,
     seed_seq, seed_int = _as_seed_sequence(seed)
     n = model.size
     c = sidak_critical_value(alpha, n)
-    children = seed_seq.spawn(len(A_GRID) + 1)
+    children = _children(seed_seq, len(A_GRID) + 1)
     rows = []
     a_best: float | None = None
     best_lower = 1.0

@@ -2,12 +2,17 @@
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import gcilab
 from gcilab.cli import _finish_report, run
 from gcilab.ineqlab import REPORT_SCHEMA, Estimate, InequalityReport
 
@@ -49,6 +54,15 @@ class TestExitCodes:
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2\n3\n")
         assert run(["check", "sidak", "--cov", str(bad)]) == 1
+
+    @pytest.mark.parametrize("name", ["missing.csv", "", "binary.csv"])
+    def test_unreadable_csv_is_one(self, tmp_path, name, capsys):
+        (tmp_path / "binary.csv").write_bytes(bytes(range(256)))
+        path = tmp_path / name  # missing file, directory, undecodable bytes
+        assert run(["check", "sidak", "--cov", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and str(path) in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["check", "slab", "--direction", "abc"],
@@ -174,3 +188,16 @@ class TestReproducibility:
             code_b, out_b = _capture(argv)
             assert code_a == code_b == 0
             assert self._strip_runtime(out_a) == self._strip_runtime(out_b)
+
+
+class TestColdStart:
+    """Importing the package and its CLI leaves scipy's heavy subpackages unloaded."""
+
+    def test_import_skips_optimize_integrate_spatial(self):
+        code = ("import gcilab, gcilab.cli, sys; "
+                "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.spatial') "
+                "if m in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=str(Path(gcilab.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "[]"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from gcilab import mvnprob
 from gcilab.errors import (
     BudgetTooSmall,
     DimensionTooLarge,
@@ -15,6 +16,7 @@ from gcilab.errors import (
     OutOfRange,
 )
 from gcilab.gaussmodel import ThresholdVector, from_covariance, random_correlation
+from gcilab.ineqlab import check_sidak
 from gcilab.mvnprob import (
     ORACLE_TOL,
     inv_std_normal_cdf,
@@ -24,6 +26,7 @@ from gcilab.mvnprob import (
     std_normal_cdf,
     symmetric_rect_prob,
 )
+from gcilab.sidakcorrect import improved_confidence
 
 
 class TestStdNormalCdf:
@@ -167,6 +170,52 @@ class TestRectProb:
             c = rng.uniform(0.5, 2.0, size=n)
             est = rect_prob(m, -c, c, budget=2 ** 16, seed=seed, replicates=12)
             assert est.stderr <= 1e-4
+
+
+class TestReplicateBlocks:
+    """Estimates do not depend on how many replicates share one kernel call."""
+
+    def test_block_size_invariance(self, monkeypatch):
+        rank_deficient = random_correlation(6, 2, 3)  # dependent rows fold into free ones
+        cases = [(random_correlation(3, 2, 1), [-1.0, -0.5, -np.inf], [1.0, 1.5, 0.8], 1 << 13),
+                 (random_correlation(5, 5, 2), -np.full(5, 1.2), np.full(5, 1.2), 1 << 14),
+                 (rank_deficient, -np.full(6, 1.0), np.array([1.0, 2.0, np.inf, 0.5, 1.0, 1.5]),
+                  1 << 14),
+                 (random_correlation(12, 4, 4), -np.full(12, 1.5), np.full(12, 1.5), 1 << 14),
+                 (random_correlation(6, 6, 5), -np.full(6, 0.9), np.full(6, 1.3), 1 << 16)]
+
+        def estimates():
+            return [(e.value, e.stderr, e.samples) for e in
+                    (rect_prob(m, lo, hi, budget, seed=k) for k, (m, lo, hi, budget)
+                     in enumerate(cases))]
+
+        default = estimates()
+        monkeypatch.setattr(mvnprob, "QMC_BLOCK", 1)
+        assert estimates() == default
+
+
+class TestSeedSequenceReuse:
+    """A SeedSequence argument gives the same result however often it is passed."""
+
+    @staticmethod
+    def _plain(result):
+        out = result.to_json_dict()
+        out.pop("runtime_ms", None)
+        return out
+
+    def test_three_uses_agree(self):
+        model = random_correlation(5, 3, 1)
+        c = ThresholdVector.constant(5, 1.5)
+        ss = np.random.SeedSequence(7)
+        calls = [lambda: symmetric_rect_prob(model, c, 4096, ss),
+                 lambda: self._plain(check_sidak(model, c, 4096, ss)),
+                 lambda: self._plain(improved_confidence(model, 0.1, 4096, ss))]
+        for call in calls:
+            first = call()
+            assert call() == first and call() == first
+        assert ss.n_children_spawned == 0
+        assert symmetric_rect_prob(model, c, 4096, ss).value == \
+            symmetric_rect_prob(model, c, 4096, 7).value
 
 
 class TestSymmetricRectProb:
