@@ -35,7 +35,6 @@ from .gaussmodel import (
     random_correlation,
 )
 from .ineqlab import (
-    Estimate,
     InequalityReport,
     REPORT_SCHEMA,
     check_lattice_premise,
@@ -62,6 +61,7 @@ from .measure import (
     product_band,
 )
 from .mvnprob import (
+    Estimate,
     ProbabilityEstimate,
     inv_std_normal_cdf,
     oracle_rect_prob,

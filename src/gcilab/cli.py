@@ -1,7 +1,7 @@
 """Command-line surface: reproducible experiments with machine-readable output.
 
 Exit codes: 0 for completed runs (including exploratory violations), 2 when a
-theorem-backed check reports a violation, 1 for usage errors.
+theorem-backed check reports a violation, 1 for bad usage, input or memory.
 """
 
 from __future__ import annotations
@@ -342,8 +342,8 @@ def run(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except GciLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GciLabError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -1,9 +1,9 @@
 """Inequality checkers for Gaussian measures of symmetric convex bodies.
 
-Every checker estimates a left-hand side and a right-hand side, combines
-their standard errors in quadrature (with first-order propagation through
-products and quotients), and classifies the margin at three combined
-standard errors:
+Every checker estimates a left-hand side and a right-hand side as
+``mvnprob.Estimate`` products (first-order error propagation), takes their
+difference with the standard errors in quadrature, and classifies the margin
+at ``SIGMAS`` = 3 combined standard errors:
 
 * ``supported``     margin >= +3 stderr
 * ``violated``      margin <= -3 stderr
@@ -47,9 +47,10 @@ from .errors import (
     PremiseViolated,
 )
 from .gaussmodel import CorrelationModel, ThresholdVector, product_model
-from .measure import gauss_measure_mc, minkowski_measure_mc
+from .measure import _body_dim, gauss_measure_mc, minkowski_measure_mc
 from .mvnprob import (
-    ProbabilityEstimate,
+    SIGMAS,
+    Estimate,
     _as_seed_sequence,
     _children,
     sym_interval_prob,
@@ -80,40 +81,10 @@ EXPLORATORY = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class Estimate:
-    """A scalar with a standard error; composes by first-order propagation."""
-
-    value: float
-    stderr: float = 0.0
-
-    @classmethod
-    def of(cls, pe: ProbabilityEstimate) -> "Estimate":
-        return cls(pe.value, pe.stderr)
-
-    def times(self, other: "Estimate") -> "Estimate":
-        v = self.value * other.value
-        se = abs(self.value) * other.stderr + abs(other.value) * self.stderr
-        return Estimate(v, se)
-
-    def over(self, other: "Estimate") -> "Estimate":
-        if other.value == 0:
-            raise InvalidParameters("division by a zero-valued estimate")
-        v = self.value / other.value
-        se = self.stderr / abs(other.value) + abs(self.value) * other.stderr / other.value ** 2
-        return Estimate(v, se)
-
-    def powered(self, n: int) -> "Estimate":
-        return Estimate(self.value ** n, n * abs(self.value) ** (n - 1) * self.stderr)
-
-    def scaled(self, factor: float) -> "Estimate":
-        return Estimate(self.value * factor, self.stderr * abs(factor))
-
-
 def classify(margin: float, stderr: float) -> str:
-    if margin >= 3.0 * stderr:
+    if margin >= SIGMAS * stderr:
         return SUPPORTED
-    if margin <= -3.0 * stderr:
+    if margin <= -SIGMAS * stderr:
         return VIOLATED
     return INCONCLUSIVE
 
@@ -209,12 +180,11 @@ def _measure(body, budget: int, seed, replicates: int) -> Estimate:
     membership.
     """
     if isinstance(body, SymmetricBand):
-        return Estimate.of(symmetric_rect_prob(body.model, body.c, budget, seed, replicates))
+        return symmetric_rect_prob(body.model, body.c, budget, seed, replicates)
     if isinstance(body, tuple):
         k, t = body
-        return Estimate.of(minkowski_measure_mc(k, t, k.dim, budget, seed))
-    dim = 2 if isinstance(body, Polygon2D) else body.dim
-    return Estimate.of(gauss_measure_mc(body, dim, budget, seed))
+        return minkowski_measure_mc(k, t, k.dim, budget, seed)
+    return gauss_measure_mc(body, _body_dim(body), budget, seed)
 
 
 def _evaluate(label, instance, lhs, rhs, budget, seed, replicates: int = 12) -> InequalityReport:
@@ -222,32 +192,35 @@ def _evaluate(label, instance, lhs, rhs, budget, seed, replicates: int = 12) -> 
 
     A term is a closed-form ``Estimate`` or a body for ``_measure``. Each body
     term gets its own child of ``seed`` (``_children``), in declared order, LHS
-    first; each side is the ``Estimate.times`` product of its terms. A
-    comparison without body terms may pass ``seed=None``.
+    first. A body object listed more than once is measured once, with the
+    child of its first appearance, so an exact tie such as gamma(K) on both
+    sides cancels exactly. Each side is the ``Estimate.times`` product of its
+    terms and the margin is their ``Estimate.minus``. A comparison without
+    body terms may pass ``seed=None``.
     """
     t0 = time.perf_counter()
-    bodies = sum(not isinstance(term, Estimate) for term in (*lhs, *rhs))
+    bodies = [term for term in (*lhs, *rhs) if not isinstance(term, Estimate)]
     seed_seq, seed_int = (None, None) if seed is None and not bodies else _as_seed_sequence(seed)
-    children = iter(_children(seed_seq, bodies) if bodies else ())
+    measured = {}
+    for body, child in zip(bodies, _children(seed_seq, len(bodies)) if bodies else ()):
+        if id(body) not in measured:
+            measured[id(body)] = _measure(body, budget, child, replicates)
     sides = []
     for terms in (lhs, rhs):
         product = Estimate(1.0, 0.0)
         for term in terms:
-            if not isinstance(term, Estimate):
-                term = _measure(term, budget, next(children), replicates)
-            product = product.times(term)
+            product = product.times(measured.get(id(term), term))
         sides.append(product)
     lhs_product, rhs_product = sides
-    margin = lhs_product.value - rhs_product.value
-    stderr = math.hypot(lhs_product.stderr, rhs_product.stderr)
+    margin = lhs_product.minus(rhs_product)
     return InequalityReport(
         label=label,
         instance=instance,
         lhs=lhs_product,
         rhs=rhs_product,
-        margin=margin,
-        stderr=stderr,
-        verdict=classify(margin, stderr),
+        margin=margin.value,
+        stderr=margin.stderr,
+        verdict=classify(margin.value, margin.stderr),
         seed=seed_int,
         budget=budget,
         runtime_ms=(time.perf_counter() - t0) * 1e3,
@@ -374,8 +347,12 @@ def check_slab(body, direction, width: float, budget: int = 1 << 16,
     gamma(conv(K union T)) * gamma(K inter T) >= gamma(K) * gamma(T) where T
     is the slab {|<x, u>| <= width}. For a polygon K the hull of K and a slab
     is itself a slab of half-width max(h_K(u), width), evaluated in closed
-    form. For a band K, ``direction`` is a constraint index j and the hull
-    factor is the threshold bound Pr(|X_j| <= max(c_j, width)).
+    form; ``direction`` is scaled by its largest entry before normalizing, so
+    huge finite entries do not overflow. For a band K, ``direction`` is a
+    constraint index j and the hull factor is the threshold bound
+    Pr(|X_j| <= max(c_j, width)). When K lies inside the slab (width >= h_K(u),
+    or width >= c_j) the intersection is K itself and is listed as ``body``,
+    so both sides are gamma(K) gamma(S) from one measurement and tie exactly.
     """
     if not (width > 0):
         raise InvalidParameters("slab width must be positive")
@@ -387,7 +364,7 @@ def check_slab(body, direction, width: float, budget: int = 1 << 16,
         model, c = body.model, body.c
         hi, lo = max(c[j], width), min(c[j], width)
         narrowed = ThresholdVector(np.where(np.arange(len(c)) == j, lo, c.as_array))
-        lhs = [_marginal(model, j, hi), SymmetricBand(model, narrowed)]
+        lhs = [_marginal(model, j, hi), body if width >= c[j] else SymmetricBand(model, narrowed)]
         rhs = [body, _marginal(model, j, width)]
         inst = _instance_dict(model, c=c.as_array, index=j, width=width)
         return _evaluate("slab", inst, lhs, rhs, budget, seed, replicates)
@@ -395,14 +372,16 @@ def check_slab(body, direction, width: float, budget: int = 1 << 16,
     if not isinstance(body, Polygon2D):
         raise DimensionMismatch("slab check expects a Polygon2D or a SymmetricBand")
     u = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(u)
-    if norm <= 0:
-        raise InvalidParameters("slab direction must be nonzero")
-    u = u / norm
-    hull_measure = Estimate(sym_interval_prob(max(body.support(u), width)), CLOSED_TOL)
+    scale = np.abs(u).max(initial=0.0)
+    if not (np.isfinite(scale) and scale > 0):
+        raise InvalidParameters("slab direction must be finite and nonzero")
+    u = u / scale
+    u = u / np.linalg.norm(u)
+    support = body.support(u)
+    hull_measure = Estimate(sym_interval_prob(max(support, width)), CLOSED_TOL)
     slab_measure = Estimate(sym_interval_prob(width), CLOSED_TOL)
-    verts = clip_halfplane(body.vertices, u, width)
-    inter = Polygon2D.from_points(clip_halfplane(verts, -u, width))
+    inter = body if width >= support else Polygon2D.from_points(
+        clip_halfplane(clip_halfplane(body.vertices, u, width), -u, width))
     inst = {"k": body.vertices, "direction": u, "width": width}
     return _evaluate("slab", inst, [hull_measure, inter], [body, slab_measure], budget, seed)
 
@@ -646,17 +625,16 @@ def tensorize_check(model: CorrelationModel, s: ThresholdVector, t: ThresholdVec
     big = product_model(model, copies)
     prod = strong_ratio(big, s.tiled(copies), t.tiled(copies), budget, s_prod, replicates)
     expected = base.powered(copies)
-    diff = prod.value - expected.value
-    stderr = math.hypot(prod.stderr, expected.stderr)
+    diff = prod.minus(expected)
     # Exact product-form paths have zero stderr; allow float rounding there.
     return TensorizeReport(
         copies=copies,
         base_ratio=base,
         product_ratio=prod,
         expected_power=expected,
-        difference=diff,
-        stderr=stderr,
-        passed=bool(abs(diff) <= 3.0 * stderr + 1e-12),
+        difference=diff.value,
+        stderr=diff.stderr,
+        passed=bool(abs(diff.value) <= SIGMAS * diff.stderr + 1e-12),
         seed=seed_int,
         budget=budget,
         runtime_ms=(time.perf_counter() - t0) * 1e3,

@@ -27,7 +27,7 @@ from .errors import BudgetTooSmall, DimensionMismatch
 from .mvnprob import (
     METHOD_MC,
     METHOD_ORACLE,
-    ProbabilityEstimate,
+    Estimate,
     _as_seed_sequence,
     _interval_from_constraints,
     symmetric_rect_prob,
@@ -40,7 +40,7 @@ SCREEN_SLACK = 1e-9
 
 
 def gauss_measure_band(band: SymmetricBand, budget: int = 1 << 16,
-                       seed=0, replicates: int = 12) -> ProbabilityEstimate:
+                       seed=0, replicates: int = 12) -> Estimate:
     """gamma_d of a band body, via Pr(|X_i| <= c_i) on the band's model."""
     return symmetric_rect_prob(band.model, band.c, budget, seed, replicates)
 
@@ -49,7 +49,7 @@ def _body_dim(body) -> int:
     return 2 if isinstance(body, Polygon2D) else body.dim
 
 
-def gauss_measure_mc(body, dim: int, budget: int, seed) -> ProbabilityEstimate:
+def gauss_measure_mc(body, dim: int, budget: int, seed) -> Estimate:
     """Fraction of standard Gaussian samples inside the body (binomial stderr)."""
     if budget < MC_MIN_BUDGET:
         raise BudgetTooSmall(f"Monte Carlo budget {budget} < {MC_MIN_BUDGET}")
@@ -66,11 +66,11 @@ def gauss_measure_mc(body, dim: int, budget: int, seed) -> ProbabilityEstimate:
         remaining -= m
     p = hits / budget
     stderr = math.sqrt(max(p * (1.0 - p), 0.0) / budget)
-    return ProbabilityEstimate(p, stderr, budget, METHOD_MC, seed_int)
+    return Estimate(p, stderr, budget, METHOD_MC, seed_int)
 
 
 def minkowski_measure_mc(k: HPolytope, t: HPolytope, dim: int,
-                         budget: int, seed) -> ProbabilityEstimate:
+                         budget: int, seed) -> Estimate:
     """gamma_d(K + T) by Monte Carlo membership.
 
     For d in ``EXACT_SUM_DIMS`` this is ``gauss_measure_mc`` on the exact
@@ -106,7 +106,7 @@ def minkowski_measure_mc(k: HPolytope, t: HPolytope, dim: int,
         remaining -= m
     p = hits / budget
     stderr = math.sqrt(max(p * (1.0 - p), 0.0) / budget)
-    return ProbabilityEstimate(p, stderr, budget, METHOD_MC, seed_int)
+    return Estimate(p, stderr, budget, METHOD_MC, seed_int)
 
 
 def _band_slice(band: SymmetricBand, s: float) -> tuple[float, float] | None:
@@ -118,7 +118,7 @@ def _band_slice(band: SymmetricBand, s: float) -> tuple[float, float] | None:
     return lo, hi
 
 
-def fiber_measure(body, s: float) -> ProbabilityEstimate:
+def fiber_measure(body, s: float) -> Estimate:
     """gamma_1 of the slice {y : (s, y) in body} for 2-D bodies.
 
     Slice endpoints come exactly from the polygon edges or band constraints
@@ -134,9 +134,9 @@ def fiber_measure(body, s: float) -> ProbabilityEstimate:
     else:
         raise DimensionMismatch("fiber measure expects a Polygon2D or 2-D band")
     if interval is None:
-        return ProbabilityEstimate(0.0, FIBER_TOL, 0, METHOD_ORACLE, None)
+        return Estimate(0.0, FIBER_TOL, 0, METHOD_ORACLE, None)
     value = float(ndtr(interval[1]) - ndtr(interval[0]))
-    return ProbabilityEstimate(value, FIBER_TOL, 0, METHOD_ORACLE, None)
+    return Estimate(value, FIBER_TOL, 0, METHOD_ORACLE, None)
 
 
 def product_band(band: SymmetricBand, copies: int) -> SymmetricBand:

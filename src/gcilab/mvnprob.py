@@ -40,7 +40,6 @@ from .errors import (
 )
 from .gaussmodel import CorrelationModel, ThresholdVector
 
-CDF_TOL = 1e-12          # absolute error of std_normal_cdf over finite x
 ORACLE_TOL = 1e-7        # absolute tolerance of the quadrature oracle
 CDF_FLOOR = 1e-300       # lower clamp for deep-tail CDF values
 MIN_BUDGET = 1000
@@ -49,32 +48,56 @@ QUAD_CLIP = 9.0          # |x| > 9 carries mass < 2e-19, below every tolerance
 DEGENERATE_SLACK = 1e-9  # membership slack for rank-deficient coordinates
 ZERO_COEF = 1e-13
 QMC_BLOCK = 1 << 17      # coordinates (n x points) per kernel call: 1 MB per array
+SIGMAS = 3.0             # verdict and confidence-bound width, in standard errors
 
-METHOD_CLOSED = "closed-form"
 METHOD_ORACLE = "quadrature-oracle"
 METHOD_QMC = "qmc"
 METHOD_MC = "mc"
-_METHODS = (METHOD_CLOSED, METHOD_ORACLE, METHOD_QMC, METHOD_MC)
 
 
 @dataclass(frozen=True)
-class ProbabilityEstimate:
-    """A probability in [0, 1] with its standard error and provenance tag."""
+class Estimate:
+    """A scalar with a standard error; composes by first-order propagation.
+
+    Measurements also carry samples, method tag and integer seed; closed forms
+    and algebra results leave them at the defaults.
+    """
 
     value: float
-    stderr: float
-    samples: int
-    method: str
+    stderr: float = 0.0
+    samples: int = 0
+    method: str | None = None
     seed: int | None = None
 
-    def __post_init__(self):
-        if not (-1e-9 <= self.value <= 1 + 1e-9):
-            raise OutOfRange(f"probability {self.value} outside [0, 1]")
-        object.__setattr__(self, "value", float(min(max(self.value, 0.0), 1.0)))
-        if self.stderr < 0:
-            raise OutOfRange("stderr must be nonnegative")
-        if self.method not in _METHODS:
-            raise InvalidParameters(f"unknown method tag {self.method!r}")
+    def times(self, other: Estimate) -> Estimate:
+        v = self.value * other.value
+        se = abs(self.value) * other.stderr + abs(other.value) * self.stderr
+        return Estimate(v, se)
+
+    def over(self, other: Estimate) -> Estimate:
+        if other.value == 0:
+            raise InvalidParameters("division by a zero-valued estimate")
+        v = self.value / other.value
+        se = self.stderr / abs(other.value) + abs(self.value) * other.stderr / other.value ** 2
+        return Estimate(v, se)
+
+    def powered(self, n: int) -> Estimate:
+        return Estimate(self.value ** n, n * abs(self.value) ** (n - 1) * self.stderr)
+
+    def scaled(self, factor: float) -> Estimate:
+        return Estimate(self.value * factor, self.stderr * abs(factor))
+
+    def minus(self, other: Estimate) -> Estimate:
+        """Difference of independent estimates: standard errors add in quadrature."""
+        return Estimate(self.value - other.value, math.hypot(self.stderr, other.stderr))
+
+    @property
+    def lower_bound(self) -> float:
+        """Lower confidence bound ``SIGMAS`` standard errors below the value."""
+        return self.value - SIGMAS * self.stderr
+
+
+ProbabilityEstimate = Estimate  # the measurement-side name of the same type
 
 
 def std_normal_cdf(x: float) -> float:
@@ -339,7 +362,7 @@ def rect_prob(
     budget: int = 1 << 16,
     seed: int | np.random.SeedSequence = 0,
     replicates: int = 12,
-) -> ProbabilityEstimate:
+) -> Estimate:
     """Estimate Pr(lower_i <= X_i <= upper_i for all i) by randomized QMC.
 
     The budget is a total sample target split over `replicates` independently
@@ -374,8 +397,7 @@ def rect_prob(
         # Product-form or fully degenerate system: the integrand is constant
         # and the value is exact up to representation rounding.
         value = float(_genz_product(ell, plan, a, b, np.zeros((0, 1)))[0])
-        return ProbabilityEstimate(min(max(value, 0.0), 1.0), QMC_STDERR_FLOOR,
-                                   0, METHOD_QMC, seed_int)
+        return Estimate(min(max(value, 0.0), 1.0), QMC_STDERR_FLOOR, 0, METHOD_QMC, seed_int)
 
     q, per_replicate = _cbc_lattice(m, max(budget // replicates, 3))
     base = np.outer(np.asarray(q), np.arange(1, per_replicate + 1))
@@ -390,7 +412,7 @@ def rect_prob(
         values[r:r + block] = _genz_product(ell, plan, a, b, w).mean(axis=1)
     value = float(np.mean(values))
     stderr = max(float(np.std(values, ddof=1) / math.sqrt(replicates)), QMC_STDERR_FLOOR)
-    return ProbabilityEstimate(
+    return Estimate(
         min(max(value, 0.0), 1.0), stderr, per_replicate * replicates, METHOD_QMC, seed_int
     )
 
@@ -401,7 +423,7 @@ def symmetric_rect_prob(
     budget: int = 1 << 16,
     seed: int | np.random.SeedSequence = 0,
     replicates: int = 12,
-) -> ProbabilityEstimate:
+) -> Estimate:
     """Pr(|X_i| <= c_i for all i); equals rect_prob on [-c, c]."""
     bounds = c.as_array
     return rect_prob(model, -bounds, bounds, budget, seed, replicates)
@@ -574,7 +596,7 @@ def _plane_mass(u, lo, hi) -> float:
     return float(np.sum(weights * probs * dens))
 
 
-def oracle_rect_prob(model: CorrelationModel, lower, upper) -> ProbabilityEstimate:
+def oracle_rect_prob(model: CorrelationModel, lower, upper) -> Estimate:
     """Deterministic rectangle probability for models of factor dimension <= 3."""
     if model.dim > 3:
         raise DimensionTooLarge(f"oracle supports d <= 3, model has d={model.dim}")
@@ -585,4 +607,4 @@ def oracle_rect_prob(model: CorrelationModel, lower, upper) -> ProbabilityEstima
     if np.any(lower > upper):
         raise InvalidBounds("need lower_i <= upper_i")
     value = oracle_region_prob(model.factor_rows, lower, upper)
-    return ProbabilityEstimate(value, ORACLE_TOL, 0, METHOD_ORACLE, None)
+    return Estimate(value, ORACLE_TOL, 0, METHOD_ORACLE, None)

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 from .errors import NotStandardized, OutOfRange
 from .gaussmodel import CorrelationModel, ThresholdVector
-from .ineqlab import Estimate, json_safe, sidak_ratio
-from .mvnprob import _as_seed_sequence, _children, inv_std_normal_cdf, symmetric_rect_prob
+from .ineqlab import json_safe, sidak_ratio
+from .mvnprob import (Estimate, _as_seed_sequence, _children, inv_std_normal_cdf,
+                      symmetric_rect_prob)
 
 A_GRID = tuple(0.05 * 2.0 ** j for j in range(9)) + (math.inf,)
 BISECTION_RESOLUTION = 1e-3
@@ -72,7 +73,7 @@ class CorrectionResult:
     a_best: float | None
     A_best: float
     improved_level: float
-    grid_rows: tuple  # (a, A value, A stderr, A lower 3-sigma bound) per grid point
+    grid_rows: tuple  # (a, A value, A stderr, A lower bound) per grid point
     seed: int | None
     budget: int
     runtime_ms: float
@@ -101,7 +102,7 @@ def improved_confidence(model: CorrelationModel, alpha: float,
                         replicates: int = 12) -> CorrectionResult:
     """Largest certified improvement factor over the widening grid.
 
-    Each A(a) is replaced by its lower 3-sigma confidence bound before
+    Each A(a) is replaced by its lower confidence bound (``lower_bound``) before
     maximizing, so the claimed level is conservative under sampling noise.
     The factor never drops below 1 (no widening is always admissible), and
     the improved level is additionally capped by the direct lower confidence
@@ -118,15 +119,14 @@ def improved_confidence(model: CorrelationModel, alpha: float,
     best_lower = 1.0
     for a, child in zip(A_GRID, children):
         est = improvement_factor(model, c, a, budget, child, replicates)
-        lower = est.value - 3.0 * est.stderr
+        lower = est.lower_bound
         rows.append((a, est.value, est.stderr, lower))
         if lower > best_lower:
             best_lower = lower
             a_best = a
     joint_c = symmetric_rect_prob(model, ThresholdVector.constant(n, c),
                                   budget, children[-1], replicates)
-    joint_floor = joint_c.value - 3.0 * joint_c.stderr
-    level = max(1.0 - alpha, min(best_lower * (1.0 - alpha), joint_floor))
+    level = max(1.0 - alpha, min(best_lower * (1.0 - alpha), joint_c.lower_bound))
     level = min(level, 1.0)
     return CorrectionResult(
         alpha=alpha,
@@ -148,7 +148,7 @@ def improved_critical_value(model: CorrelationModel, alpha: float,
                             replicates: int = 12) -> float:
     """Smallest c' whose certified coverage bound reaches 1 - alpha.
 
-    Bisection over [z_(alpha/2), c_classical] on the direct lower 3-sigma
+    Bisection over [z_(alpha/2), c_classical] on the direct lower confidence
     bound of Pr(all |Y_i| <= c'). No widening is searched: A(a) <= A(0), so
     a widened factor times the marginals can exceed the direct bound only by
     noise. Every evaluation uses one integer key drawn from ``seed``, hence
@@ -167,9 +167,8 @@ def improved_critical_value(model: CorrelationModel, alpha: float,
     lo = inv_std_normal_cdf(1.0 - alpha / 2.0)
 
     def certified(value: float) -> float:
-        joint = symmetric_rect_prob(model, ThresholdVector.constant(n, value),
-                                    budget, key, replicates)
-        return joint.value - 3.0 * joint.stderr
+        return symmetric_rect_prob(model, ThresholdVector.constant(n, value),
+                                   budget, key, replicates).lower_bound
 
     if certified(lo) >= target:
         return lo

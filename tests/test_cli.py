@@ -95,6 +95,20 @@ class TestExitCodes:
         assert "passed" not in captured.out and "error:" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 7.28 TiB for an array", "error: Unable to allocate"),
+        ("", "error: out of memory")])
+    def test_memory_error_is_one(self, monkeypatch, capsys, message, shown):
+        # A budget too large for memory makes numpy raise MemoryError; simulate
+        # it rather than attempt the allocation.
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(gcilab.ineqlab, "check_sidak", exhausted)
+        assert run(["check", "sidak", "--budget", "999999999999"]) == 1
+        err = capsys.readouterr().err
+        assert shown in err and "Traceback" not in err
+
     def test_unbounded_hpolytope_is_one(self, csv_dir, capsys):
         assert run(["measure", "--hpoly", str(csv_dir / "strip.csv")]) == 1
         assert "unbounded" in capsys.readouterr().err

@@ -26,7 +26,6 @@ from gcilab.ineqlab import (
     SUPPORTED,
     THEOREM_BACKED,
     VIOLATED,
-    Estimate,
     check_lattice_premise,
     check_refined_sidak,
     check_rogers_shephard,
@@ -45,6 +44,7 @@ from gcilab.ineqlab import (
     strong_ratio,
     tensorize_check,
 )
+from gcilab.mvnprob import Estimate, ProbabilityEstimate, symmetric_rect_prob
 
 RANK1_2 = from_covariance(np.ones((2, 2)))
 RANK1_3 = from_covariance(np.ones((3, 3)))
@@ -74,6 +74,15 @@ class TestVerdicts:
         assert abs(ratio.value - 1.25) <= 1e-15
         power = a.powered(3)
         assert abs(power.stderr - 3 * 0.25 * 0.01) <= 1e-15
+        diff = a.minus(b)
+        assert abs(diff.value - 0.1) <= 1e-15
+        assert diff.stderr == math.hypot(0.01, 0.02)
+        assert a.lower_bound == 0.5 - 3.0 * 0.01
+        assert Estimate(0.25).lower_bound == 0.25
+        # Measurements are the same type and keep their provenance.
+        est = symmetric_rect_prob(RANK1_2, ONES2, budget=2 ** 12, seed=5)
+        assert ProbabilityEstimate is Estimate and isinstance(est, Estimate)
+        assert (est.method, est.seed) == ("qmc", 5)
 
 
 class TestSidak:
@@ -313,6 +322,35 @@ class TestSlab:
         band = SymmetricBand(model, ThresholdVector([1.0, 1.0]))
         rep = check_slab(band, 0, 5.0, budget=2 ** 12, seed=2)
         assert abs(rep.margin) <= 3 * rep.stderr + 1e-12
+
+    def test_exact_ties_margin_exactly_zero(self):
+        # K inside the slab, so K inter S = K: both sides are gamma(K) gamma(S)
+        # and must come from one measurement of K, not two with different seeds.
+        polygon = random_symmetric_polygon(np.random.default_rng(8), points=5)
+        band = SymmetricBand(random_correlation(3, 2, 22), ThresholdVector([0.8, 1.0, 1.2]))
+        cases = [(Polygon2D.box(0.5, 0.3), [1.0, 1.0], 1.0),
+                 (Polygon2D.box(0.5, 0.3), [1.0, 0.0], 0.5),
+                 (polygon, [0.6, -0.8], polygon.support(np.array([0.6, -0.8])) + 0.1),
+                 (band, 1, 1.5), (band, 0, 0.8)]
+        for seed in range(30):
+            for body, direction, width in cases:
+                rep = check_slab(body, direction, width, budget=10_000, seed=seed)
+                assert rep.margin == 0.0
+                assert rep.verdict != VIOLATED
+
+    def test_huge_direction_matches_unit_direction(self):
+        body = Polygon2D.box(1.0, 0.5)
+        huge = check_slab(body, [1e200, 1e200], 0.6, budget=10_000, seed=4).to_json_dict()
+        unit = check_slab(body, [1.0, 1.0], 0.6, budget=10_000, seed=4).to_json_dict()
+        huge.pop("runtime_ms")
+        unit.pop("runtime_ms")
+        assert huge == unit
+        assert unit["verdict"] == SUPPORTED
+
+    @pytest.mark.parametrize("direction", [[0.0, 0.0], [math.inf, 0.0], [math.nan, 1.0]])
+    def test_rejects_degenerate_direction(self, direction):
+        with pytest.raises(InvalidParameters):
+            check_slab(Polygon2D.box(1.0, 1.0), direction, 0.5, budget=10_000, seed=0)
 
     @pytest.mark.parametrize("width", [0.0, -1.0, math.nan])
     def test_rejects_nonpositive_width(self, width):
