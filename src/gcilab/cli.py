@@ -42,6 +42,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _seed(text) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gcilab", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
@@ -50,7 +56,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--cov", help="covariance matrix CSV")
         p.add_argument("--bounds", help="threshold vector CSV (entries may be inf)")
         p.add_argument("--budget", type=int, default=1 << 14)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--replicates", type=int, default=12,
                        help="QMC randomization count R")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -174,12 +180,10 @@ def _finish_report(args, report: ineqlab.InequalityReport) -> int:
 
 
 def _run_measure(args) -> int:
-    if args.polygon:
-        body = load_polygon_csv(args.polygon)
-        est = measure.gauss_measure_mc(body, 2, max(args.budget, 10_000), args.seed)
-    elif args.hpoly:
-        body = load_hpolytope_csv(args.hpoly)
-        est = measure.gauss_measure_mc(body, body.dim, max(args.budget, 10_000), args.seed)
+    if args.polygon or args.hpoly:
+        body = load_polygon_csv(args.polygon) if args.polygon else load_hpolytope_csv(args.hpoly)
+        est = ineqlab._measure(body, max(args.budget, measure.MC_MIN_BUDGET), args.seed,
+                               args.replicates)  # the clamp matters for d >= 3 only
     elif args.cov:
         model = from_covariance(load_covariance_csv(args.cov))
         c = _load_thresholds(args.bounds, model.size)
@@ -223,8 +227,7 @@ def _run_check(args) -> int:
     if name == "strong-2d":
         p = _load_polygon(args.polygon, args.seed)
         q = _load_polygon(args.polygon2, args.seed, offset=1)
-        budget = max(args.budget, 10_000)
-        return _finish_report(args, ineqlab.check_strong_gci_2d(p, q, budget, args.seed))
+        return _finish_report(args, ineqlab.check_strong_gci_2d(p, q, args.budget, args.seed))
     if name == "slab":
         width = args.width
         if args.cov:
@@ -235,13 +238,12 @@ def _run_check(args) -> int:
                 band, args.index, width, args.budget, args.seed, args.replicates))
         p = _load_polygon(args.polygon, args.seed)
         direction = _parse_direction(args.direction)
-        budget = max(args.budget, 10_000)
         return _finish_report(args, ineqlab.check_slab(
-            p, direction, width, budget, args.seed, args.replicates))
+            p, direction, width, args.budget, args.seed, args.replicates))
     if name == "unconditional":
         k = _load_hpoly(args.hpoly, args.seed)
         t = _load_hpoly(args.hpoly2, args.seed, offset=1)
-        budget = max(args.budget, 10_000)
+        budget = max(args.budget, measure.MC_MIN_BUDGET)
         return _finish_report(args, ineqlab.check_unconditional(k, t, budget, args.seed))
     if name == "tehranchi":
         model = _load_model(args)
@@ -269,7 +271,7 @@ def _run_check(args) -> int:
 
 
 def _run_counterexample(args) -> int:
-    result = ineqlab.hull_counterexample(args.N, max(args.budget, 10_000), args.seed)
+    result = ineqlab.hull_counterexample(args.N, args.budget, args.seed)
     payload = result.report.to_json_dict()
     payload["reduction"] = {
         "wide_interval_measure": result.wide_interval_measure,

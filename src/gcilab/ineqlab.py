@@ -49,16 +49,18 @@ from .errors import (
 from .gaussmodel import CorrelationModel, ThresholdVector, product_model
 from .measure import _body_dim, gauss_measure_mc, minkowski_measure_mc
 from .mvnprob import (
+    METHOD_ORACLE,
+    ORACLE_TOL,
     SIGMAS,
     Estimate,
     _as_seed_sequence,
     _children,
+    oracle_region_prob,
     sym_interval_prob,
     symmetric_rect_prob,
 )
 
 CLOSED_TOL = 1e-12
-GEOM_EQ_TOL = 1e-12
 RS_TOL = 1e-9
 SUPPORTED = "supported"
 VIOLATED = "violated"
@@ -176,15 +178,21 @@ def _measure(body, budget: int, seed, replicates: int) -> Estimate:
     """Gaussian measure of one body term: the single body-to-estimator dispatch.
 
     Bands go to the QMC rectangle engine, a Minkowski-sum pair ``(K, T)`` to
-    Monte Carlo with sum membership, polygons and H-polytopes to Monte Carlo
-    membership.
+    Monte Carlo with sum membership, polygons and H-polytopes of dimension
+    <= 2 to the deterministic quadrature oracle (budget and seed unused), and
+    higher-dimensional H-polytopes to Monte Carlo membership.
     """
     if isinstance(body, SymmetricBand):
         return symmetric_rect_prob(body.model, body.c, budget, seed, replicates)
     if isinstance(body, tuple):
         k, t = body
         return minkowski_measure_mc(k, t, k.dim, budget, seed)
-    return gauss_measure_mc(body, _body_dim(body), budget, seed)
+    if _body_dim(body) <= 2:
+        normals, offsets = (body.edge_normals() if isinstance(body, Polygon2D)
+                            else (body.normals, body.offsets))
+        value = oracle_region_prob(normals, np.full(len(offsets), -np.inf), offsets)
+        return Estimate(value, ORACLE_TOL, 0, METHOD_ORACLE, None)
+    return gauss_measure_mc(body, body.dim, budget, seed)
 
 
 def _evaluate(label, instance, lhs, rhs, budget, seed, replicates: int = 12) -> InequalityReport:
@@ -333,7 +341,7 @@ def check_strong_gci_2d(p: Polygon2D, q: Polygon2D, budget: int = 1 << 17,
     """Exploratory strong correlation inequality with the exact 2-D sum.
 
     gamma(P + Q) * gamma(P inter Q) >= gamma(P) * gamma(Q), all four measures
-    by Monte Carlo membership sampling.
+    by the quadrature oracle: ``budget`` and ``seed`` only go into the report.
     """
     lhs = [polygon_minkowski_sum(p, q), intersect_polygons(p, q)]
     inst = {"p": p.vertices, "q": q.vertices}
@@ -353,6 +361,7 @@ def check_slab(body, direction, width: float, budget: int = 1 << 16,
     Pr(|X_j| <= max(c_j, width)). When K lies inside the slab (width >= h_K(u),
     or width >= c_j) the intersection is K itself and is listed as ``body``,
     so both sides are gamma(K) gamma(S) from one measurement and tie exactly.
+    Polygon terms go to the quadrature oracle: budget and seed do not move them.
     """
     if not (width > 0):
         raise InvalidParameters("slab width must be positive")
@@ -506,16 +515,6 @@ def check_rogers_shephard(p: Polygon2D, q: Polygon2D) -> InequalityReport:
 # Counterexample machinery
 # ---------------------------------------------------------------------------
 
-def _box_or_polygon(poly: Polygon2D):
-    """Closed-form measure term when the polygon is an axis-aligned box, else the polygon."""
-    v = poly.vertices
-    ax, ay = np.abs(v[:, 0]), np.abs(v[:, 1])
-    if v.shape[0] != 4 or np.ptp(ax) > GEOM_EQ_TOL or np.ptp(ay) > GEOM_EQ_TOL:
-        return poly
-    return Estimate(sym_interval_prob(float(ax.mean())), CLOSED_TOL).times(
-        Estimate(sym_interval_prob(float(ay.mean())), CLOSED_TOL))
-
-
 @dataclass(frozen=True)
 class HullCounterexample:
     """Hull-inequality evaluation on crossed boxes plus its 1-D reduction."""
@@ -533,8 +532,8 @@ def hull_counterexample(n_parameter: float, budget: int = 1 << 20,
     """Evaluate the hull inequality on K = [-1/N, 1/N] x [-N, N] and its transpose.
 
     The full comparison gamma(conv(K union T)) gamma(K inter T) versus
-    gamma(K) gamma(T) uses the exact hull polygon (Monte Carlo measure) and
-    closed forms for the three axis boxes. The reduction trace compares
+    gamma(K) gamma(T) measures all four polygons with the quadrature oracle,
+    so ``budget`` and ``seed`` do not change it. The reduction trace compares
     gamma_1([-N, N]) with gamma_1 of the interval produced by rotating the
     enclosing diamond, both in closed form; a positive gap shows the convex
     hull cannot replace the Minkowski sum.
@@ -544,9 +543,8 @@ def hull_counterexample(n_parameter: float, budget: int = 1 << 20,
     n = float(n_parameter)
     k = Polygon2D.box(1.0 / n, n)
     t = Polygon2D.box(n, 1.0 / n)
-    lhs = [_box_or_polygon(convex_hull_union(k, t)), _box_or_polygon(intersect_polygons(k, t))]
-    rhs = [_box_or_polygon(k), _box_or_polygon(t)]
-    report = _evaluate("hull-counterexample", {"N": n}, lhs, rhs, budget, seed)
+    lhs = [convex_hull_union(k, t), intersect_polygons(k, t)]
+    report = _evaluate("hull-counterexample", {"N": n}, lhs, [k, t], budget, seed)
 
     wide = sym_interval_prob(n)
     half = (n + 1.0 / n) / math.sqrt(2.0)
@@ -718,7 +716,8 @@ def search_counterexample(family: str, steps: int, budget: int = 1 << 14,
     ``seed`` (common random numbers), so within a restart the objective is a
     deterministic function of the parameters. ``steps`` caps objective
     evaluations per restart; ``steps == 1`` just scores the canonical
-    instance. Always returns the best instance found.
+    instance. Always returns the best instance found. The planar families
+    ``hull-rectangles`` and ``rotated-boxes`` are exact, so their keys do nothing.
     """
     if family not in SEARCH_FAMILIES:
         raise InvalidParameters(f"unknown family {family!r}")

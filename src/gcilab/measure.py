@@ -1,9 +1,10 @@
 """Gaussian measure of convex bodies.
 
 Band bodies reduce exactly to rectangle probabilities of their model, so the
-QMC engine carries them in any dimension. Polygons and H-polytopes get Monte
-Carlo membership estimates, and so does a Minkowski sum K + T: through its
-exact facet form for 2 <= d <= 3, else point by point. 2-D bodies
+QMC engine carries them in any dimension. H-polytopes get Monte Carlo
+membership estimates (``ineqlab._measure`` uses them for d >= 3 only; planar
+bodies go to the quadrature oracle), and so does a Minkowski sum K + T:
+through its exact facet form for 2 <= d <= 3, else point by point. 2-D bodies
 additionally expose the fiber measure f(s), the Gaussian mass of the vertical
 slice at s, used by the slab-lifting arguments.
 """

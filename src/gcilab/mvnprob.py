@@ -48,6 +48,7 @@ QUAD_CLIP = 9.0          # |x| > 9 carries mass < 2e-19, below every tolerance
 DEGENERATE_SLACK = 1e-9  # membership slack for rank-deficient coordinates
 ZERO_COEF = 1e-13
 QMC_BLOCK = 1 << 17      # coordinates (n x points) per kernel call: 1 MB per array
+ORACLE_BLOCK = 1 << 21   # entries per (constraint x point) array in the oracle: 16 MB
 SIGMAS = 3.0             # verdict and confidence-bound width, in standard errors
 
 METHOD_ORACLE = "quadrature-oracle"
@@ -136,7 +137,10 @@ def _as_seed_sequence(seed) -> tuple[np.random.SeedSequence, int | None]:
         return seed, None
     if seed is None:
         raise InvalidParameters("an integer seed is required for reproducibility")
-    return np.random.SeedSequence(int(seed)), int(seed)
+    seed = int(seed)
+    if seed < 0:
+        raise InvalidParameters(f"seed must be a non-negative integer, got {seed}")
+    return np.random.SeedSequence(seed), seed
 
 
 def _children(seed_seq: np.random.SeedSequence, k: int) -> list[np.random.SeedSequence]:
@@ -514,8 +518,8 @@ def _vertex_x1(rows, lower, upper) -> np.ndarray:
     hi_tol = upper + DEGENERATE_SLACK * (1.0 + np.abs(upper))
     trip = np.array(list(itertools.combinations(range(rows.shape[0]), 3)))
     x1 = []
-    # blocks of triples keep the (candidate point x row) check near 2^21 entries
-    for block in np.array_split(trip, 1 + trip.shape[0] * 8 * rows.shape[0] // (1 << 21)):
+    # blocks of triples keep the (candidate point x row) check near ORACLE_BLOCK entries
+    for block in np.array_split(trip, 1 + trip.shape[0] * 8 * rows.shape[0] // ORACLE_BLOCK):
         block = block[np.abs(np.linalg.det(rows[block])) > 1e-12]
         rhs = bounds[block[:, None, :], sides]  # triple x side x plane
         t, k = np.nonzero(np.all(np.isfinite(rhs), axis=2))
@@ -528,6 +532,22 @@ def _vertex_x1(rows, lower, upper) -> np.ndarray:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _PANEL_MAX_LEN = 0.5
 _Y_GRID = np.linspace(-QUAD_CLIP, QUAD_CLIP, int(2 * QUAD_CLIP / _PANEL_MAX_LEN) + 1)
+
+
+def _envelopes(p_hi, p_lo, q, x):
+    """min_i (p_hi_i + q_i x) and max_i (p_lo_i + q_i x) at every x.
+
+    Evaluated in column blocks of about ``ORACLE_BLOCK`` entries, so memory
+    stays bounded for many constraints; each column is its own exact min or
+    max, so the values do not depend on the block size.
+    """
+    y_hi, y_lo = np.empty(x.size), np.empty(x.size)
+    step = max(1, ORACLE_BLOCK // q.size)
+    for s in range(0, x.size, step):
+        qx = q[:, None] * x[s:s + step]
+        y_hi[s:s + step] = np.min(p_hi[:, None] + qx, axis=0)
+        y_lo[s:s + step] = np.max(p_lo[:, None] + qx, axis=0)
+    return y_hi, y_lo
 
 
 def _plane_mass(u, lo, hi) -> float:
@@ -576,8 +596,9 @@ def _plane_mass(u, lo, hi) -> float:
     # rounding of p + q x grows with |p| and |q x|, which are large for steep bounds
     slack = DEGENERATE_SLACK * (1.0 + np.abs(p_all[i]) + np.abs(q_all[i] * x)
                                 + np.abs(p_all[j]) + np.abs(q_all[j] * x))
-    on_top = y <= np.min(p_hi[:, None] + q[:, None] * x, axis=0) + slack
-    on_bottom = y >= np.max(p_lo[:, None] + q[:, None] * x, axis=0) - slack
+    env_hi, env_lo = _envelopes(p_hi, p_lo, q, x)
+    on_top = y <= env_hi + slack
+    on_bottom = y >= env_lo - slack
     active = np.where(upper_fn[i], on_top, on_bottom) & np.where(upper_fn[j], on_top, on_bottom)
     edges = np.unique(np.concatenate([[xlo, xhi], x[active]]))
     # Subdivide long panels so a fixed-order rule stays accurate.
@@ -589,8 +610,7 @@ def _plane_mass(u, lo, hi) -> float:
 
     nodes = (centers[:, None] + half[:, None] * _GL_NODES).ravel()
     weights = (half[:, None] * _GL_WEIGHTS).ravel()
-    y_hi = np.min(p_hi[:, None] + q[:, None] * nodes, axis=0)
-    y_lo = np.max(p_lo[:, None] + q[:, None] * nodes, axis=0)
+    y_hi, y_lo = _envelopes(p_hi, p_lo, q, nodes)
     probs = np.clip(ndtr(y_hi) - ndtr(y_lo), 0.0, None)
     dens = np.exp(-0.5 * nodes * nodes) / math.sqrt(2.0 * math.pi)
     return float(np.sum(weights * probs * dens))

@@ -2,10 +2,12 @@
 
 Everything here is deliberately built from primitives different from the
 package's estimation paths: raw adaptive quadrature of the Gaussian density,
-bisection inverses, and brute-force convex hulls of pairwise vertex sums.
+bisection inverses, brute-force convex hulls of pairwise vertex sums, and the
+polar formula for the Gaussian measure of a planar polygon.
 Expected values asserted in the tests are computed through these functions.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -89,3 +91,39 @@ def polygon_area_bruteforce(vertices) -> float:
 
 def support_bruteforce(vertices, direction) -> float:
     return float(np.max(np.asarray(vertices) @ np.asarray(direction)))
+
+
+def planar_measure_polar(normals, offsets) -> float:
+    """gamma_2 of the polygon {x : normals @ x <= offsets}, origin in its interior.
+
+    In polar coordinates the mass inside radius r(theta) along a ray is
+    1 - exp(-r^2 / 2), so gamma_2 = (1 / 2 pi) * integral of that over theta.
+    Between consecutive vertex angles one edge n.x = b bounds the ray and
+    r(theta) = b / (n . (cos theta, sin theta)), so each sector is integrated
+    by adaptive quadrature of a smooth function. Vertices come from brute-force
+    intersection of every pair of edge lines.
+    """
+    normals = np.asarray(normals, dtype=float)
+    offsets = np.asarray(offsets, dtype=float)
+    vertices = []
+    for i, j in itertools.combinations(range(len(offsets)), 2):
+        mat = normals[[i, j]]
+        if abs(np.linalg.det(mat)) < 1e-12:
+            continue
+        x = np.linalg.solve(mat, offsets[[i, j]])
+        if np.all(normals @ x <= offsets + 1e-9):
+            vertices.append(x)
+    angles = np.unique(np.round(np.mod([math.atan2(y, x) for x, y in vertices],
+                                       2.0 * math.pi), 12))
+    bounds = np.append(angles, angles[0] + 2.0 * math.pi)
+
+    def mass_in_ray(theta):
+        proj = normals @ np.array([math.cos(theta), math.sin(theta)])
+        r = np.min(offsets[proj > 0] / proj[proj > 0])
+        return -math.expm1(-0.5 * r * r)
+
+    total = 0.0
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        part, _ = quad(mass_in_ray, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)
+        total += part
+    return total / (2.0 * math.pi)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -109,6 +110,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert shown in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "sidak", "--seed", "-1"],
+        ["check", "strong-2d", "--seed", "-5"],
+        ["correct", "--alpha", "0.05", "--seed", "-2"],
+    ])
+    def test_negative_seed_is_usage_error(self, argv, capsys):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "usage error:" in err and "--seed" in err and "Traceback" not in err
+
     def test_unbounded_hpolytope_is_one(self, csv_dir, capsys):
         assert run(["measure", "--hpoly", str(csv_dir / "strip.csv")]) == 1
         assert "unbounded" in capsys.readouterr().err
@@ -173,6 +184,17 @@ class TestJsonContracts:
                               "--budget", "20000", "--seed", "2", "--json"])
         assert code == 0
         assert abs(json.loads(out)["value"] - 0.4660649) < 0.02
+
+    @pytest.mark.parametrize("flag, name", [("--polygon", "square.csv"), ("--hpoly", "box.csv")])
+    def test_measure_planar_body_is_exact(self, csv_dir, flag, name):
+        code, out = _capture(["measure", flag, str(csv_dir / name), "--seed", "3", "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        half_y = 1.0 if name == "square.csv" else 1.5
+        expect = math.erf(1.0 / math.sqrt(2.0)) * math.erf(half_y / math.sqrt(2.0))
+        assert abs(payload["value"] - expect) <= 1e-10
+        assert (payload["method"], payload["samples"], payload["seed"]) == \
+            ("quadrature-oracle", 0, None)
 
     def test_lattice_check(self, csv_dir):
         code, out = _capture(["check", "lattice", "--hpoly", str(csv_dir / "box.csv"),

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import oracles
+from gcilab import ineqlab
 from gcilab.convexgeom import (
     HPolytope,
     Polygon2D,
     SymmetricBand,
+    minkowski_sum,
     random_symmetric_polygon,
     random_unconditional_hpolytope,
 )
@@ -26,6 +28,7 @@ from gcilab.ineqlab import (
     SUPPORTED,
     THEOREM_BACKED,
     VIOLATED,
+    _measure,
     check_lattice_premise,
     check_refined_sidak,
     check_rogers_shephard,
@@ -255,6 +258,61 @@ class TestStrongGciBands:
             rep = check_strong_gci_bands(model, s, t, budget=2 ** 12, seed=seed)
             verdicts.add(rep.verdict)
         assert verdicts <= {SUPPORTED, INCONCLUSIVE, VIOLATED}
+
+
+class TestPlanarDispatch:
+    """Polygons and 2-D H-polytopes are measured by the quadrature oracle."""
+
+    def test_polygons_match_polar_reference(self):
+        rng = np.random.default_rng(31)
+        for _ in range(8):
+            p = random_symmetric_polygon(rng, points=int(rng.integers(3, 9)))
+            assert abs(_measure(p, 0, 0, 12).value
+                       - oracles.planar_measure_polar(*p.edge_normals())) <= 1e-10
+
+    def test_hpolytopes_and_sum_match_polar_reference(self):
+        rng = np.random.default_rng(32)
+        bodies = [random_unconditional_hpolytope(rng, dim=2) for _ in range(6)]
+        bodies.append(minkowski_sum(bodies[0], bodies[1]))
+        for h in bodies:
+            assert abs(_measure(h, 0, 0, 12).value
+                       - oracles.planar_measure_polar(h.normals, h.offsets)) <= 1e-10
+
+    @pytest.mark.parametrize("hx, hy", [(0.3, 2.0), (1.0, 1.0), (3.0, 0.5)])
+    def test_boxes_are_erf_products(self, hx, hy):
+        expect = math.erf(hx / math.sqrt(2.0)) * math.erf(hy / math.sqrt(2.0))
+        for box in (Polygon2D.box(hx, hy), HPolytope.axis_box([hx, hy])):
+            assert abs(_measure(box, 0, 0, 12).value - expect) <= 1e-10
+
+    def test_method_tags(self):
+        rng = np.random.default_rng(33)
+        k2, t2 = (random_unconditional_hpolytope(rng, dim=2) for _ in range(2))
+        k3 = random_unconditional_hpolytope(rng, dim=3)
+        band = SymmetricBand(random_correlation(3, 2, 1), ONES3)
+        cases = [(random_symmetric_polygon(rng), "quadrature-oracle"),
+                 (k2, "quadrature-oracle"), (k3, "mc"), ((k2, t2), "mc"), (band, "qmc")]
+        for body, method in cases:
+            est = _measure(body, 10_000, 4, 12)
+            assert est.method == method
+            if method == "quadrature-oracle":
+                assert (est.samples, est.seed) == (0, None)
+
+    def test_planar_checkers_never_sample(self, monkeypatch):
+        def sampled(*args, **kwargs):
+            raise AssertionError("a planar body reached Monte Carlo")
+
+        monkeypatch.setattr(ineqlab, "gauss_measure_mc", sampled)
+        monkeypatch.setattr(ineqlab, "minkowski_measure_mc", sampled)
+        p = random_symmetric_polygon(np.random.default_rng(34))
+        q = Polygon2D.box(1.5, 0.6)
+
+        def margins(budget, seed):
+            reports = [check_strong_gci_2d(p, q, budget, seed),
+                       check_slab(p, [1.0, 0.5], 0.8, budget, seed),
+                       hull_counterexample(2.5, budget, seed).report]
+            return [(rep.margin, rep.stderr) for rep in reports]
+
+        assert margins(10_000, 1) == margins(50, 7)  # budget and seed do not move 2-D terms
 
 
 class TestStrongGci2d:

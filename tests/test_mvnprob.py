@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 import oracles
 from gcilab import mvnprob
+from gcilab.convexgeom import Polygon2D
 from gcilab.errors import (
     BudgetTooSmall,
     DimensionTooLarge,
     InvalidBounds,
+    InvalidParameters,
     OutOfRange,
 )
 from gcilab.gaussmodel import ThresholdVector, from_covariance, random_correlation
@@ -192,6 +194,33 @@ class TestReplicateBlocks:
         default = estimates()
         monkeypatch.setattr(mvnprob, "QMC_BLOCK", 1)
         assert estimates() == default
+
+
+class TestOracleBlocks:
+    """The planar oracle's envelopes do not depend on their column block size."""
+
+    def test_block_size_invariance(self, monkeypatch):
+        normals, offsets = Polygon2D.regular(64, 1.3, 0.1).edge_normals()
+        rank_two = random_correlation(40, 2, 3)
+        c = np.linspace(0.8, 2.0, 40)
+
+        def values():
+            return (oracle_region_prob(normals, np.full(64, -np.inf), offsets),
+                    oracle_region_prob(rank_two.factor_rows, -c, c))
+
+        default = values()
+        monkeypatch.setattr(mvnprob, "ORACLE_BLOCK", 7)
+        assert values() == default
+
+
+class TestNegativeSeed:
+    def test_rejected_as_invalid_parameters(self):
+        model = random_correlation(3, 2, 1)
+        c = ThresholdVector.constant(3, 1.0)
+        with pytest.raises(InvalidParameters):
+            symmetric_rect_prob(model, c, 4096, -1)
+        with pytest.raises(InvalidParameters):
+            check_sidak(model, c, 4096, seed=-1)
 
 
 class TestSeedSequenceReuse:
