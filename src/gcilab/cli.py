@@ -57,8 +57,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--bounds", help="threshold vector CSV (entries may be inf)")
         p.add_argument("--budget", type=int, default=1 << 14)
         p.add_argument("--seed", type=_seed, default=0)
-        p.add_argument("--replicates", type=int, default=12,
-                       help="QMC randomization count R")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
 
     p_measure = sub.add_parser("measure", help="Gaussian measure of a body")
@@ -182,13 +180,12 @@ def _finish_report(args, report: ineqlab.InequalityReport) -> int:
 def _run_measure(args) -> int:
     if args.polygon or args.hpoly:
         body = load_polygon_csv(args.polygon) if args.polygon else load_hpolytope_csv(args.hpoly)
-        est = ineqlab._measure(body, max(args.budget, measure.MC_MIN_BUDGET), args.seed,
-                               args.replicates)  # the clamp matters for d >= 3 only
+        # the clamp matters for d >= 3 only
+        est = ineqlab._measure(body, max(args.budget, measure.MC_MIN_BUDGET), args.seed)
     elif args.cov:
         model = from_covariance(load_covariance_csv(args.cov))
         c = _load_thresholds(args.bounds, model.size)
-        est = measure.gauss_measure_band(SymmetricBand(model, c), args.budget,
-                                         args.seed, args.replicates)
+        est = measure.gauss_measure_band(SymmetricBand(model, c), args.budget, args.seed)
     else:
         raise _UsageError("measure needs --cov/--bounds, --polygon, or --hpoly")
     payload = {"label": "measure", "value": est.value, "stderr": est.stderr,
@@ -205,25 +202,25 @@ def _run_check(args) -> int:
         model = _load_model(args)
         c = _load_thresholds(args.bounds, model.size)
         return _finish_report(args, ineqlab.check_sidak(
-            model, c, args.budget, args.seed, args.replicates))
+            model, c, args.budget, args.seed))
     if name == "refined":
         model = _load_model(args)
         c = _load_thresholds(args.bounds, model.size)
         a = _parse_widening(args.a)
         return _finish_report(args, ineqlab.check_refined_sidak(
-            model, c, a, args.index, args.budget, args.seed, args.replicates))
+            model, c, a, args.index, args.budget, args.seed))
     if name == "royen":
         model = _load_model(args)
         c = _load_thresholds(args.bounds, model.size)
         split = args.split or max(model.size // 2, 1)
         return _finish_report(args, ineqlab.check_royen(
-            model, c, split, args.budget, args.seed, args.replicates))
+            model, c, split, args.budget, args.seed))
     if name == "strong-bands":
         model = _load_model(args)
         s = _load_thresholds(args.bounds, model.size, rng=rng, randomize=not args.bounds)
         t = _load_thresholds(args.bounds2, model.size, rng=rng, randomize=not args.bounds2)
         return _finish_report(args, ineqlab.check_strong_gci_bands(
-            model, s, t, args.budget, args.seed, args.replicates))
+            model, s, t, args.budget, args.seed))
     if name == "strong-2d":
         p = _load_polygon(args.polygon, args.seed)
         q = _load_polygon(args.polygon2, args.seed, offset=1)
@@ -235,11 +232,11 @@ def _run_check(args) -> int:
             c = _load_thresholds(args.bounds, model.size)
             band = SymmetricBand(model, c)
             return _finish_report(args, ineqlab.check_slab(
-                band, args.index, width, args.budget, args.seed, args.replicates))
+                band, args.index, width, args.budget, args.seed))
         p = _load_polygon(args.polygon, args.seed)
         direction = _parse_direction(args.direction)
         return _finish_report(args, ineqlab.check_slab(
-            p, direction, width, args.budget, args.seed, args.replicates))
+            p, direction, width, args.budget, args.seed))
     if name == "unconditional":
         k = _load_hpoly(args.hpoly, args.seed)
         t = _load_hpoly(args.hpoly2, args.seed, offset=1)
@@ -250,7 +247,7 @@ def _run_check(args) -> int:
         s_thr = _load_thresholds(args.bounds, model.size)
         t_thr = _load_thresholds(args.bounds2, model.size, default=1.5)
         return _finish_report(args, ineqlab.check_tehranchi(
-            model, s_thr, t_thr, args.s, args.t, args.budget, args.seed, args.replicates))
+            model, s_thr, t_thr, args.s, args.t, args.budget, args.seed))
     if name == "lattice":
         k = _load_hpoly(args.hpoly, args.seed)
         t = _load_hpoly(args.hpoly2, args.seed, offset=1)
@@ -304,8 +301,7 @@ def _run_tensorize(args) -> int:
     rng = np.random.default_rng(args.seed)
     s = _load_thresholds(args.bounds, model.size, rng=rng, randomize=not args.bounds)
     t = _load_thresholds(args.bounds2, model.size, rng=rng, randomize=not args.bounds2)
-    rep = ineqlab.tensorize_check(model, s, t, args.N, args.budget, args.seed,
-                                  args.replicates)
+    rep = ineqlab.tensorize_check(model, s, t, args.N, args.budget, args.seed)
     lines = [
         f"tensorize[N={rep.copies}]: {'passed' if rep.passed else 'FAILED'}",
         f"  product ratio  = {rep.product_ratio.value:.8f}",
@@ -318,8 +314,7 @@ def _run_tensorize(args) -> int:
 
 def _run_correct(args) -> int:
     model = _load_model(args)
-    result = sidakcorrect.improved_confidence(model, args.alpha, args.budget,
-                                              args.seed, args.replicates)
+    result = sidakcorrect.improved_confidence(model, args.alpha, args.budget, args.seed)
     _emit(args, result.to_json_dict(), [sidakcorrect.correction_table(result)])
     return 0
 

@@ -34,10 +34,10 @@ from .errors import (
     SolverFailure,
     ZeroDirection,
 )
-from .gaussmodel import CorrelationModel, ThresholdVector, _read_csv_rows
+from .gaussmodel import CorrelationModel, ThresholdVector, _read_csv_rows, _require_finite
 
-GEOM_TOL = 1e-12        # vertex dedup / collinearity / membership tolerance
-SYMMETRY_MATCH_TOL = 1e-9
+GEOM_TOL = 1e-12        # membership; times max |coordinate| for vertex dedup and collinearity
+SYMMETRY_MATCH_TOL = 1e-9  # facet match; times max |coordinate| for polygon antipodes
 LP_TOL = 1e-9           # simplex feasibility tolerance
 SIMPLEX_ITER_CAP = 10_000
 # Qhull needs d >= 2, and at d = 5 it raised precision errors on random
@@ -54,7 +54,7 @@ def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _dedup_points(pts: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
+def _dedup_points(pts: np.ndarray, tol: float) -> np.ndarray:
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     pts = pts[order]
     keep = [pts[0]]
@@ -65,18 +65,24 @@ def _dedup_points(pts: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
 
 
 def _hull_ccw(points: np.ndarray) -> np.ndarray:
-    """Strictly convex CCW hull by monotone chain; collinear points dropped."""
-    pts = _dedup_points(np.asarray(points, dtype=float))
+    """Strictly convex CCW hull by monotone chain; collinear points dropped.
+
+    The dedup and collinearity tolerances scale with the largest |coordinate|
+    (squared for cross products), so acceptance does not depend on units.
+    """
+    scale = np.abs(points).max(initial=0.0)
+    pts = _dedup_points(points, GEOM_TOL * scale)
     if pts.shape[0] < 3:
         raise DegenerateInput("hull needs at least 3 distinct points")
+    cross_tol = GEOM_TOL * scale * scale
     lower: list[np.ndarray] = []
     for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= GEOM_TOL:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= cross_tol:
             lower.pop()
         lower.append(p)
     upper: list[np.ndarray] = []
     for p in pts[::-1]:
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= GEOM_TOL:
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= cross_tol:
             upper.pop()
         upper.append(p)
     hull = np.asarray(lower[:-1] + upper[:-1])
@@ -97,13 +103,14 @@ class Polygon2D:
         object.__setattr__(self, "vertices", v)
 
     @classmethod
-    def from_points(cls, points, require_symmetry: bool = True) -> "Polygon2D":
+    def from_points(cls, points) -> "Polygon2D":
+        points = np.asarray(points, dtype=float)
+        _require_finite(points, "polygon vertices")
         hull = _hull_ccw(points)
-        if require_symmetry:
-            # Every vertex must have its antipode in the hull.
-            gaps = np.linalg.norm(hull[:, None, :] + hull[None, :, :], axis=2)
-            if np.max(gaps.min(axis=1)) > SYMMETRY_MATCH_TOL:
-                raise NotSymmetric("vertex set is not closed under negation")
+        # Every vertex must have its antipode in the hull, relative to the hull's size.
+        gaps = np.linalg.norm(hull[:, None, :] + hull[None, :, :], axis=2)
+        if np.max(gaps.min(axis=1)) > SYMMETRY_MATCH_TOL * np.abs(hull).max():
+            raise NotSymmetric("vertex set is not closed under negation")
         if hull.shape[0] < 4:
             raise DegenerateInput("symmetric polygon needs at least 4 vertices")
         start = np.lexsort((hull[:, 1], hull[:, 0]))[0]
@@ -353,6 +360,8 @@ class HPolytope:
         b = np.atleast_1d(np.asarray(offsets, dtype=float))
         if a.shape[0] != b.shape[0]:
             raise DimensionMismatch("one offset per normal is required")
+        _require_finite(a, "halfspace normals")
+        _require_finite(b, "halfspace offsets")
         norms = np.linalg.norm(a, axis=1)
         if np.any(norms <= GEOM_TOL):
             raise DegenerateInput("zero normal in halfspace list")

@@ -36,10 +36,10 @@ def _scale(sigma: np.ndarray) -> float:
     return top if top > 0 else 1.0
 
 
-def _require_finite(a: np.ndarray) -> None:
-    # NaN slips through every tolerance comparison below, so reject it up front.
+def _require_finite(a: np.ndarray, what: str = "covariance entries and factor rows") -> None:
+    # NaN slips through every tolerance comparison, so reject it up front.
     if not np.all(np.isfinite(a)):
-        raise NotFinite("covariance entries and factor rows must be finite")
+        raise NotFinite(f"{what} must be finite")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

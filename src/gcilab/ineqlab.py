@@ -174,7 +174,7 @@ def json_safe(obj):
     return obj
 
 
-def _measure(body, budget: int, seed, replicates: int) -> Estimate:
+def _measure(body, budget: int, seed) -> Estimate:
     """Gaussian measure of one body term: the single body-to-estimator dispatch.
 
     Bands go to the QMC rectangle engine, a Minkowski-sum pair ``(K, T)`` to
@@ -183,19 +183,19 @@ def _measure(body, budget: int, seed, replicates: int) -> Estimate:
     higher-dimensional H-polytopes to Monte Carlo membership.
     """
     if isinstance(body, SymmetricBand):
-        return symmetric_rect_prob(body.model, body.c, budget, seed, replicates)
+        return symmetric_rect_prob(body.model, body.c, budget, seed)
     if isinstance(body, tuple):
         k, t = body
-        return minkowski_measure_mc(k, t, k.dim, budget, seed)
+        return minkowski_measure_mc(k, t, budget, seed)
     if _body_dim(body) <= 2:
         normals, offsets = (body.edge_normals() if isinstance(body, Polygon2D)
                             else (body.normals, body.offsets))
         value = oracle_region_prob(normals, np.full(len(offsets), -np.inf), offsets)
         return Estimate(value, ORACLE_TOL, 0, METHOD_ORACLE, None)
-    return gauss_measure_mc(body, body.dim, budget, seed)
+    return gauss_measure_mc(body, budget, seed)
 
 
-def _evaluate(label, instance, lhs, rhs, budget, seed, replicates: int = 12) -> InequalityReport:
+def _evaluate(label, instance, lhs, rhs, budget, seed) -> InequalityReport:
     """Measure both sides of prod(lhs) >= prod(rhs) and classify the margin.
 
     A term is a closed-form ``Estimate`` or a body for ``_measure``. Each body
@@ -212,7 +212,7 @@ def _evaluate(label, instance, lhs, rhs, budget, seed, replicates: int = 12) -> 
     measured = {}
     for body, child in zip(bodies, _children(seed_seq, len(bodies)) if bodies else ()):
         if id(body) not in measured:
-            measured[id(body)] = _measure(body, budget, child, replicates)
+            measured[id(body)] = _measure(body, budget, child)
     sides = []
     for terms in (lhs, rhs):
         product = Estimate(1.0, 0.0)
@@ -258,15 +258,14 @@ def _sidak_terms(model: CorrelationModel, c: ThresholdVector):
 
 
 def check_sidak(model: CorrelationModel, c: ThresholdVector,
-                budget: int = 1 << 14, seed=0, replicates: int = 12) -> InequalityReport:
+                budget: int = 1 << 14, seed=0) -> InequalityReport:
     """Sidak-Khatri: Pr(|X_i| <= c_i for all i) >= prod_i Pr(|X_i| <= c_i)."""
     return _evaluate("sidak", _instance_dict(model, c=c.as_array), *_sidak_terms(model, c),
-                     budget, seed, replicates)
+                     budget, seed)
 
 
 def check_refined_sidak(model: CorrelationModel, c: ThresholdVector, a: float,
-                        index: int = 0, budget: int = 1 << 14, seed=0,
-                        replicates: int = 12) -> InequalityReport:
+                        index: int = 0, budget: int = 1 << 14, seed=0) -> InequalityReport:
     """Refined Sidak-Khatri at one widened coordinate.
 
     Pr(|X_j| <= c_j + a) * Pr(|X_i| <= c_i for all i)
@@ -281,23 +280,23 @@ def check_refined_sidak(model: CorrelationModel, c: ThresholdVector, a: float,
     lhs = [_marginal(model, index, c[index] + a), SymmetricBand(model, c)]
     rhs = [_marginal(model, index, c[index]), SymmetricBand(model, c.widened(a, index))]
     inst = _instance_dict(model, c=c.as_array, a=a, index=index)
-    return _evaluate("refined-sidak", inst, lhs, rhs, budget, seed, replicates)
+    return _evaluate("refined-sidak", inst, lhs, rhs, budget, seed)
 
 
 def sidak_ratio(model: CorrelationModel, c: ThresholdVector,
-                budget: int = 1 << 14, seed=0, replicates: int = 12) -> Estimate:
+                budget: int = 1 << 14, seed=0) -> Estimate:
     """Joint-to-product ratio Pr(all |X_i| <= c_i) / prod_i Pr(|X_i| <= c_i).
 
     At least 1 up to noise, and non-increasing under threshold widenings.
     Coordinates with infinite thresholds contribute a factor 1 to both sides,
     dropping out of the ratio.
     """
-    rep = _evaluate("sidak", {}, *_sidak_terms(model, c), budget, seed, replicates)
+    rep = _evaluate("sidak", {}, *_sidak_terms(model, c), budget, seed)
     return rep.lhs.over(rep.rhs)
 
 
 def check_royen(model: CorrelationModel, c: ThresholdVector, split: int,
-                budget: int = 1 << 14, seed=0, replicates: int = 12) -> InequalityReport:
+                budget: int = 1 << 14, seed=0) -> InequalityReport:
     """Royen's correlation inequality across a coordinate split.
 
     Pr(all n constraints) >= Pr(first k) * Pr(last n - k); equality holds for
@@ -310,7 +309,7 @@ def check_royen(model: CorrelationModel, c: ThresholdVector, split: int,
     rhs = [SymmetricBand(model.submodel(range(split)), ThresholdVector(bounds[:split])),
            SymmetricBand(model.submodel(range(split, n)), ThresholdVector(bounds[split:]))]
     inst = _instance_dict(model, c=bounds, split=split)
-    return _evaluate("royen", inst, [SymmetricBand(model, c)], rhs, budget, seed, replicates)
+    return _evaluate("royen", inst, [SymmetricBand(model, c)], rhs, budget, seed)
 
 
 def _strong_terms(model: CorrelationModel, s: ThresholdVector, t: ThresholdVector):
@@ -319,8 +318,7 @@ def _strong_terms(model: CorrelationModel, s: ThresholdVector, t: ThresholdVecto
 
 
 def check_strong_gci_bands(model: CorrelationModel, s: ThresholdVector,
-                           t: ThresholdVector, budget: int = 1 << 14, seed=0,
-                           replicates: int = 12) -> InequalityReport:
+                           t: ThresholdVector, budget: int = 1 << 14, seed=0) -> InequalityReport:
     """Exploratory strong correlation inequality in threshold form.
 
     Pr(<= s + t) * Pr(<= min(s, t)) >= Pr(<= s) * Pr(<= t), with extended
@@ -328,8 +326,7 @@ def check_strong_gci_bands(model: CorrelationModel, s: ThresholdVector,
     a violated verdict is a finding, not a failure.
     """
     inst = _instance_dict(model, s=s.as_array, t=t.as_array)
-    return _evaluate("strong-gci-bands", inst, *_strong_terms(model, s, t),
-                     budget, seed, replicates)
+    return _evaluate("strong-gci-bands", inst, *_strong_terms(model, s, t), budget, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +346,7 @@ def check_strong_gci_2d(p: Polygon2D, q: Polygon2D, budget: int = 1 << 17,
 
 
 def check_slab(body, direction, width: float, budget: int = 1 << 16,
-               seed=0, replicates: int = 12) -> InequalityReport:
+               seed=0) -> InequalityReport:
     """Hull inequality against a symmetric slab (theorem backed).
 
     gamma(conv(K union T)) * gamma(K inter T) >= gamma(K) * gamma(T) where T
@@ -376,7 +373,7 @@ def check_slab(body, direction, width: float, budget: int = 1 << 16,
         lhs = [_marginal(model, j, hi), body if width >= c[j] else SymmetricBand(model, narrowed)]
         rhs = [body, _marginal(model, j, width)]
         inst = _instance_dict(model, c=c.as_array, index=j, width=width)
-        return _evaluate("slab", inst, lhs, rhs, budget, seed, replicates)
+        return _evaluate("slab", inst, lhs, rhs, budget, seed)
 
     if not isinstance(body, Polygon2D):
         raise DimensionMismatch("slab check expects a Polygon2D or a SymmetricBand")
@@ -473,8 +470,7 @@ def check_lattice_premise(k: HPolytope, t: HPolytope, samples: int = 1000,
 
 def check_tehranchi(model: CorrelationModel, s_thr: ThresholdVector,
                     t_thr: ThresholdVector, s: float, t: float,
-                    budget: int = 1 << 14, seed=0,
-                    replicates: int = 12) -> InequalityReport:
+                    budget: int = 1 << 14, seed=0) -> InequalityReport:
     """Tehranchi's constant-loss bound for band bodies (theorem backed).
 
     For all sqrt(s) <= t < 1, with d the model rank,
@@ -495,7 +491,7 @@ def check_tehranchi(model: CorrelationModel, s_thr: ThresholdVector,
            Estimate((1.0 - s) ** (-model.dim / 2.0), 0.0)]
     rhs = [SymmetricBand(model, s_thr), SymmetricBand(model, t_thr)]
     inst = _instance_dict(model, s_thr=s_thr.as_array, t_thr=t_thr.as_array, s=s, t=t)
-    return _evaluate("tehranchi", inst, lhs, rhs, budget, seed, replicates)
+    return _evaluate("tehranchi", inst, lhs, rhs, budget, seed)
 
 
 def check_rogers_shephard(p: Polygon2D, q: Polygon2D) -> InequalityReport:
@@ -564,10 +560,9 @@ def hull_counterexample(n_parameter: float, budget: int = 1 << 20,
 # ---------------------------------------------------------------------------
 
 def strong_ratio(model: CorrelationModel, s: ThresholdVector, t: ThresholdVector,
-                 budget: int = 1 << 14, seed=0, replicates: int = 12) -> Estimate:
+                 budget: int = 1 << 14, seed=0) -> Estimate:
     """[Pr(<= s+t) Pr(<= min(s,t))] / [Pr(<= s) Pr(<= t)] with propagated error."""
-    rep = _evaluate("strong-gci-bands", {}, *_strong_terms(model, s, t), budget, seed,
-                    replicates)
+    rep = _evaluate("strong-gci-bands", {}, *_strong_terms(model, s, t), budget, seed)
     return rep.lhs.over(rep.rhs)
 
 
@@ -605,8 +600,7 @@ class TensorizeReport:
 
 
 def tensorize_check(model: CorrelationModel, s: ThresholdVector, t: ThresholdVector,
-                    copies: int, budget: int = 1 << 14, seed=0,
-                    replicates: int = 12) -> TensorizeReport:
+                    copies: int, budget: int = 1 << 14, seed=0) -> TensorizeReport:
     """Product-measure identity behind the asymptotic reduction.
 
     The strong-inequality ratio of the N-fold block-diagonal model with tiled
@@ -619,9 +613,9 @@ def tensorize_check(model: CorrelationModel, s: ThresholdVector, t: ThresholdVec
     t0 = time.perf_counter()
     seed_seq, seed_int = _as_seed_sequence(seed)
     s_base, s_prod = _children(seed_seq, 2)
-    base = strong_ratio(model, s, t, budget, s_base, replicates)
+    base = strong_ratio(model, s, t, budget, s_base)
     big = product_model(model, copies)
-    prod = strong_ratio(big, s.tiled(copies), t.tiled(copies), budget, s_prod, replicates)
+    prod = strong_ratio(big, s.tiled(copies), t.tiled(copies), budget, s_prod)
     expected = base.powered(copies)
     diff = prod.minus(expected)
     # Exact product-form paths have zero stderr; allow float rounding there.

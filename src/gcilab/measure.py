@@ -40,22 +40,23 @@ FIBER_TOL = 1e-10
 SCREEN_SLACK = 1e-9
 
 
-def gauss_measure_band(band: SymmetricBand, budget: int = 1 << 16,
-                       seed=0, replicates: int = 12) -> Estimate:
+def gauss_measure_band(band: SymmetricBand, budget: int = 1 << 16, seed=0) -> Estimate:
     """gamma_d of a band body, via Pr(|X_i| <= c_i) on the band's model."""
-    return symmetric_rect_prob(band.model, band.c, budget, seed, replicates)
+    return symmetric_rect_prob(band.model, band.c, budget, seed)
 
 
 def _body_dim(body) -> int:
     return 2 if isinstance(body, Polygon2D) else body.dim
 
 
-def gauss_measure_mc(body, dim: int, budget: int, seed) -> Estimate:
-    """Fraction of standard Gaussian samples inside the body (binomial stderr)."""
+def gauss_measure_mc(body, budget: int, seed) -> Estimate:
+    """Fraction of standard Gaussian samples in R^d inside the body (binomial stderr).
+
+    d is the body's own dimension (2 for a ``Polygon2D``).
+    """
     if budget < MC_MIN_BUDGET:
         raise BudgetTooSmall(f"Monte Carlo budget {budget} < {MC_MIN_BUDGET}")
-    if _body_dim(body) != dim:
-        raise DimensionMismatch(f"body lives in R^{_body_dim(body)}, not R^{dim}")
+    dim = _body_dim(body)
     seed_seq, seed_int = _as_seed_sequence(seed)
     rng = np.random.default_rng(seed_seq)
     hits = 0
@@ -70,8 +71,7 @@ def gauss_measure_mc(body, dim: int, budget: int, seed) -> Estimate:
     return Estimate(p, stderr, budget, METHOD_MC, seed_int)
 
 
-def minkowski_measure_mc(k: HPolytope, t: HPolytope, dim: int,
-                         budget: int, seed) -> Estimate:
+def minkowski_measure_mc(k: HPolytope, t: HPolytope, budget: int, seed) -> Estimate:
     """gamma_d(K + T) by Monte Carlo membership.
 
     For d in ``EXACT_SUM_DIMS`` this is ``gauss_measure_mc`` on the exact
@@ -84,10 +84,10 @@ def minkowski_measure_mc(k: HPolytope, t: HPolytope, dim: int,
     """
     if budget < MC_MIN_BUDGET:
         raise BudgetTooSmall(f"Monte Carlo budget {budget} < {MC_MIN_BUDGET}")
-    if k.dim != dim or t.dim != dim:
-        raise DimensionMismatch("summands must live in the requested dimension")
-    if dim in EXACT_SUM_DIMS:
-        return gauss_measure_mc(minkowski_sum(k, t), dim, budget, seed)
+    if k.dim != t.dim:
+        raise DimensionMismatch("summands live in different dimensions")
+    if k.dim in EXACT_SUM_DIMS:
+        return gauss_measure_mc(minkowski_sum(k, t), budget, seed)
     seed_seq, seed_int = _as_seed_sequence(seed)
     rng = np.random.default_rng(seed_seq)
     dirs = np.vstack([k.normals, t.normals])
@@ -96,7 +96,7 @@ def minkowski_measure_mc(k: HPolytope, t: HPolytope, dim: int,
     remaining = budget
     while remaining > 0:
         m = min(remaining, MC_CHUNK)
-        pts = rng.standard_normal((m, dim))
+        pts = rng.standard_normal((m, k.dim))
         inside = k.contains_many(pts) | t.contains_many(pts)
         outside = np.any(pts @ dirs.T > hsum + SCREEN_SLACK, axis=1)
         hits += int(np.count_nonzero(inside))

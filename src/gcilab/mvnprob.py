@@ -50,6 +50,7 @@ ZERO_COEF = 1e-13
 QMC_BLOCK = 1 << 17      # coordinates (n x points) per kernel call: 1 MB per array
 ORACLE_BLOCK = 1 << 21   # entries per (constraint x point) array in the oracle: 16 MB
 SIGMAS = 3.0             # verdict and confidence-bound width, in standard errors
+REPLICATES = 12          # independently shifted lattice copies behind every QMC stderr
 
 METHOD_ORACLE = "quadrature-oracle"
 METHOD_QMC = "qmc"
@@ -365,11 +366,10 @@ def rect_prob(
     upper,
     budget: int = 1 << 16,
     seed: int | np.random.SeedSequence = 0,
-    replicates: int = 12,
 ) -> Estimate:
     """Estimate Pr(lower_i <= X_i <= upper_i for all i) by randomized QMC.
 
-    The budget is a total sample target split over `replicates` independently
+    The budget is a total sample target split over ``REPLICATES`` independently
     shifted copies of a rank-1 lattice (point count rounded down to a prime
     so the fast CBC construction applies; a tent transform periodizes the
     integrand). Replicate r is shifted by uniforms drawn from the r-th child
@@ -377,8 +377,8 @@ def rect_prob(
     unchanged). The integrand is evaluated on blocks of whole replicates of
     at most ``QMC_BLOCK`` coordinates (n x points) each, and each replicate's
     value is the mean over its own points. The standard error is the
-    replicate spread divided by sqrt(replicates). Results are reproducible
-    from (seed, budget, replicates) alone and independent of the block size.
+    replicate spread divided by sqrt(REPLICATES). Results are reproducible
+    from (seed, budget) alone and independent of the block size.
     """
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
@@ -389,8 +389,6 @@ def rect_prob(
         raise InvalidBounds("need lower_i <= upper_i for all i")
     if budget < MIN_BUDGET:
         raise BudgetTooSmall(f"budget {budget} < {MIN_BUDGET}")
-    if replicates < 2:
-        raise InvalidParameters("at least 2 randomization replicates are required")
 
     ell, a, b = _conditioning_system(model.sigma, lower, upper)
     plan = _transform_plan(ell)
@@ -403,21 +401,21 @@ def rect_prob(
         value = float(_genz_product(ell, plan, a, b, np.zeros((0, 1)))[0])
         return Estimate(min(max(value, 0.0), 1.0), QMC_STDERR_FLOOR, 0, METHOD_QMC, seed_int)
 
-    q, per_replicate = _cbc_lattice(m, max(budget // replicates, 3))
+    q, per_replicate = _cbc_lattice(m, max(budget // REPLICATES, 3))
     base = np.outer(np.asarray(q), np.arange(1, per_replicate + 1))
     shifts = np.stack([np.random.default_rng(child).random(m)
-                       for child in _children(seed_seq, replicates)])  # (replicates, m)
+                       for child in _children(seed_seq, REPLICATES)])  # (REPLICATES, m)
     block = max(1, QMC_BLOCK // (n * per_replicate))
-    values = np.empty(replicates)
-    for r in range(0, replicates, block):
+    values = np.empty(REPLICATES)
+    for r in range(0, REPLICATES, block):
         z = base + shifts[r:r + block, :, None]  # (block, m, points)
         z -= np.floor(z)
         w = np.abs(2.0 * z - 1.0)  # tent periodization
         values[r:r + block] = _genz_product(ell, plan, a, b, w).mean(axis=1)
     value = float(np.mean(values))
-    stderr = max(float(np.std(values, ddof=1) / math.sqrt(replicates)), QMC_STDERR_FLOOR)
+    stderr = max(float(np.std(values, ddof=1) / math.sqrt(REPLICATES)), QMC_STDERR_FLOOR)
     return Estimate(
-        min(max(value, 0.0), 1.0), stderr, per_replicate * replicates, METHOD_QMC, seed_int
+        min(max(value, 0.0), 1.0), stderr, per_replicate * REPLICATES, METHOD_QMC, seed_int
     )
 
 
@@ -426,11 +424,10 @@ def symmetric_rect_prob(
     c: ThresholdVector,
     budget: int = 1 << 16,
     seed: int | np.random.SeedSequence = 0,
-    replicates: int = 12,
 ) -> Estimate:
     """Pr(|X_i| <= c_i for all i); equals rect_prob on [-c, c]."""
     bounds = c.as_array
-    return rect_prob(model, -bounds, bounds, budget, seed, replicates)
+    return rect_prob(model, -bounds, bounds, budget, seed)
 
 
 def _interval_from_constraints(coefs, res_lo, res_hi):
@@ -453,15 +450,15 @@ def _phi_density(x: float) -> float:
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def oracle_region_prob(rows, lower, upper, tol: float = ORACLE_TOL) -> float:
+def oracle_region_prob(rows, lower, upper) -> float:
     """Standard Gaussian mass of {y in R^d : lower <= rows @ y <= upper}, d <= 3.
 
     Deterministic quadrature built on one planar rule, ``_plane_mass``: for
     d <= 2 the region is a single planar layer (rows zero-padded to width 2),
     and d = 1 reduces to an exact CDF difference. For d = 3 adaptive
-    quadrature to `tol` over y_1, clipped to |y_1| <= 9 (truncation far below
-    `tol`) and broken at the first coordinates of the region's vertices,
-    integrates the planar layers at fixed y_1.
+    quadrature to ``ORACLE_TOL`` over y_1, clipped to |y_1| <= 9 (truncation
+    far below ``ORACLE_TOL``) and broken at the first coordinates of the
+    region's vertices, integrates the planar layers at fixed y_1.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     lower = np.asarray(lower, dtype=float)
@@ -498,7 +495,7 @@ def oracle_region_prob(rows, lower, upper, tol: float = ORACLE_TOL) -> float:
         kinks = _vertex_x1(rows, lower, upper)
         kinks = kinks[(kinks > x1lo) & (kinks < x1hi)]
         value, _ = quad(layer, x1lo, x1hi, points=kinks if kinks.size else None,
-                        epsabs=tol * 0.3, limit=400 + kinks.size)
+                        epsabs=ORACLE_TOL * 0.3, limit=400 + kinks.size)
     return float(min(max(value, 0.0), 1.0))
 
 

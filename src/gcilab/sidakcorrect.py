@@ -43,8 +43,7 @@ def _require_standardized(model: CorrelationModel) -> None:
 
 
 def improvement_factor(model: CorrelationModel, c: float, a: float,
-                       budget: int = 1 << 16, seed=0,
-                       replicates: int = 12) -> Estimate:
+                       budget: int = 1 << 16, seed=0) -> Estimate:
     """A(a) = Pr(all |Y_i| <= c+a) / prod_i Pr(|Y_i| <= c+a) on a standardized model.
 
     A(a) never exceeds the coverage ratio at c, so its lower confidence
@@ -58,8 +57,7 @@ def improvement_factor(model: CorrelationModel, c: float, a: float,
         raise OutOfRange("widening a must be nonnegative")
     if math.isinf(a):
         return Estimate(1.0, 0.0)
-    return sidak_ratio(model, ThresholdVector.constant(model.size, c + a),
-                       budget, seed, replicates)
+    return sidak_ratio(model, ThresholdVector.constant(model.size, c + a), budget, seed)
 
 
 @dataclass(frozen=True)
@@ -98,8 +96,7 @@ class CorrectionResult:
 
 
 def improved_confidence(model: CorrelationModel, alpha: float,
-                        budget: int = 1 << 16, seed=0,
-                        replicates: int = 12) -> CorrectionResult:
+                        budget: int = 1 << 16, seed=0) -> CorrectionResult:
     """Largest certified improvement factor over the widening grid.
 
     Each A(a) is replaced by its lower confidence bound (``lower_bound``) before
@@ -118,14 +115,13 @@ def improved_confidence(model: CorrelationModel, alpha: float,
     a_best: float | None = None
     best_lower = 1.0
     for a, child in zip(A_GRID, children):
-        est = improvement_factor(model, c, a, budget, child, replicates)
+        est = improvement_factor(model, c, a, budget, child)
         lower = est.lower_bound
         rows.append((a, est.value, est.stderr, lower))
         if lower > best_lower:
             best_lower = lower
             a_best = a
-    joint_c = symmetric_rect_prob(model, ThresholdVector.constant(n, c),
-                                  budget, children[-1], replicates)
+    joint_c = symmetric_rect_prob(model, ThresholdVector.constant(n, c), budget, children[-1])
     level = max(1.0 - alpha, min(best_lower * (1.0 - alpha), joint_c.lower_bound))
     level = min(level, 1.0)
     return CorrectionResult(
@@ -144,8 +140,7 @@ def improved_confidence(model: CorrelationModel, alpha: float,
 
 
 def improved_critical_value(model: CorrelationModel, alpha: float,
-                            budget: int = 1 << 14, seed=0,
-                            replicates: int = 12) -> float:
+                            budget: int = 1 << 14, seed=0) -> float:
     """Smallest c' whose certified coverage bound reaches 1 - alpha.
 
     Bisection over [z_(alpha/2), c_classical] on the direct lower confidence
@@ -168,7 +163,7 @@ def improved_critical_value(model: CorrelationModel, alpha: float,
 
     def certified(value: float) -> float:
         return symmetric_rect_prob(model, ThresholdVector.constant(n, value),
-                                   budget, key, replicates).lower_bound
+                                   budget, key).lower_bound
 
     if certified(lo) >= target:
         return lo

@@ -61,7 +61,7 @@ def test_criterion_01_mvn_engine_accuracy():
         d = int(rng.integers(1, min(n, 3) + 1))
         model = random_correlation(n, d, 5_100 + k)
         c = rng.uniform(0.4, 2.2, size=n)
-        est = rect_prob(model, -c, c, budget=1 << 16, seed=k, replicates=12)
+        est = rect_prob(model, -c, c, budget=1 << 16, seed=k)
         orc = oracle_rect_prob(model, -c, c)
         gap = abs(est.value - orc.value)
         tol = 3.0 * math.hypot(est.stderr, orc.stderr)

@@ -83,6 +83,23 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "supported" not in captured.out and "error:" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "rogers-shephard", "--polygon", "nan_polygon.csv", "--polygon2", "square.csv"],
+        ["measure", "--polygon", "nan_polygon.csv"],
+        ["measure", "--hpoly", "inf_box.csv"],
+        ["counterexample", "hull", "--N", "inf"],
+    ])
+    def test_nonfinite_geometry_is_one(self, csv_dir, argv, capsys, recwarn):
+        (csv_dir / "nan_polygon.csv").write_text("1,0.5\nnan,1\n-1,-0.5\n0.3,-1\n-0.3,1\n")
+        (csv_dir / "inf_box.csv").write_text("1,0,1\n-1,0,inf\n0,1,2\n0,-1,2\n")
+        argv = [str(csv_dir / a) if a.endswith(".csv") else a for a in argv]
+        assert run(argv + ["--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "must be finite" in captured.err
+        assert "Traceback" not in captured.err and "Warning" not in captured.err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("extra", [
         ["--hpoly2", "box3.csv"],
         ["--hpoly2", "box.csv", "--samples", "-5"],

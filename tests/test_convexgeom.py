@@ -35,6 +35,7 @@ from gcilab.errors import (
     DimensionMismatch,
     InvalidDimension,
     ModelMismatch,
+    NotFinite,
     NotSymmetric,
     ZeroDirection,
 )
@@ -266,6 +267,33 @@ class TestPolygonValidation:
     def test_area_shoelace(self):
         assert abs(Polygon2D.box(2.0, 0.5).area() - 4.0) <= 1e-12
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_vertex_rejected(self, bad):
+        with pytest.raises(NotFinite):
+            Polygon2D.from_points([[1.0, 0.5], [bad, 1.0], [-1.0, -0.5], [-0.3, -1.0],
+                                   [0.3, -1.0], [-0.3, 1.0]])
+        with pytest.raises(NotFinite):
+            Polygon2D.box(0.0, bad)
+
+    def test_units_do_not_matter(self):
+        assert len(Polygon2D.box(2e-7, 1e-7)) == 4
+        rng = np.random.default_rng(41)
+        polygons = [random_symmetric_polygon(rng, points=int(rng.integers(3, 9)))
+                    for _ in range(20)]
+        for k in range(-8, 9):
+            for p in polygons:
+                scaled = Polygon2D.from_points(p.vertices * 10.0 ** k)
+                assert len(scaled) == len(p)
+                np.testing.assert_allclose(scaled.vertices, p.vertices * 10.0 ** k, rtol=1e-12)
+            assert len(Polygon2D.regular(6, 10.0 ** k, 0.3)) == 6
+
+    def test_asymmetry_is_relative_to_size(self):
+        # a vertex 1e-3 of the polygon's size off its antipode, at any scale
+        pts = np.array([[1.0, 0.5], [-1.0, -0.5], [0.3, 1.0], [-0.3, -1.0 + 1e-3]])
+        for scale in (1e-7, 1.0, 1e7):
+            with pytest.raises(NotSymmetric):
+                Polygon2D.from_points(pts * scale)
+
 
 class TestMinkowskiContains:
     def test_constructive_witness(self):
@@ -468,6 +496,15 @@ class TestHPolytope:
     def test_rejects_unbounded(self):
         with pytest.raises(DegenerateInput):
             HPolytope.from_halfspaces([[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0])
+
+    @pytest.mark.parametrize("normals, offsets", [
+        ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, math.inf, 2.0, 2.0]),
+        ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 1.0, math.nan, 2.0]),
+        ([[1.0, math.nan], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 1.0, 2.0, 2.0]),
+    ])
+    def test_rejects_nonfinite(self, normals, offsets):
+        with pytest.raises(NotFinite):
+            HPolytope.from_halfspaces(normals, offsets)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):

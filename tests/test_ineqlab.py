@@ -267,7 +267,7 @@ class TestPlanarDispatch:
         rng = np.random.default_rng(31)
         for _ in range(8):
             p = random_symmetric_polygon(rng, points=int(rng.integers(3, 9)))
-            assert abs(_measure(p, 0, 0, 12).value
+            assert abs(_measure(p, 0, 0).value
                        - oracles.planar_measure_polar(*p.edge_normals())) <= 1e-10
 
     def test_hpolytopes_and_sum_match_polar_reference(self):
@@ -275,14 +275,14 @@ class TestPlanarDispatch:
         bodies = [random_unconditional_hpolytope(rng, dim=2) for _ in range(6)]
         bodies.append(minkowski_sum(bodies[0], bodies[1]))
         for h in bodies:
-            assert abs(_measure(h, 0, 0, 12).value
+            assert abs(_measure(h, 0, 0).value
                        - oracles.planar_measure_polar(h.normals, h.offsets)) <= 1e-10
 
     @pytest.mark.parametrize("hx, hy", [(0.3, 2.0), (1.0, 1.0), (3.0, 0.5)])
     def test_boxes_are_erf_products(self, hx, hy):
         expect = math.erf(hx / math.sqrt(2.0)) * math.erf(hy / math.sqrt(2.0))
         for box in (Polygon2D.box(hx, hy), HPolytope.axis_box([hx, hy])):
-            assert abs(_measure(box, 0, 0, 12).value - expect) <= 1e-10
+            assert abs(_measure(box, 0, 0).value - expect) <= 1e-10
 
     def test_method_tags(self):
         rng = np.random.default_rng(33)
@@ -292,7 +292,7 @@ class TestPlanarDispatch:
         cases = [(random_symmetric_polygon(rng), "quadrature-oracle"),
                  (k2, "quadrature-oracle"), (k3, "mc"), ((k2, t2), "mc"), (band, "qmc")]
         for body, method in cases:
-            est = _measure(body, 10_000, 4, 12)
+            est = _measure(body, 10_000, 4)
             assert est.method == method
             if method == "quadrature-oracle":
                 assert (est.samples, est.seed) == (0, None)

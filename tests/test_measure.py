@@ -52,35 +52,31 @@ class TestGaussMeasureBand:
 class TestGaussMeasureMc:
     def test_disk_closed_form(self):
         disk = Polygon2D.regular(256, 2.0)
-        est = gauss_measure_mc(disk, 2, 200_000, 5)
+        est = gauss_measure_mc(disk, 200_000, 5)
         expect = 1.0 - math.exp(-2.0)
         assert abs(est.value - expect) <= 3 * est.stderr + 1e-3
         assert abs(expect - 0.8646647) < 1e-6
 
     def test_square_matches_band(self):
         square = Polygon2D.box(1.0, 1.0)
-        mc = gauss_measure_mc(square, 2, 100_000, 6)
+        mc = gauss_measure_mc(square, 100_000, 6)
         band = SymmetricBand(from_covariance(np.eye(2)), ThresholdVector([1.0, 1.0]))
         qmc = gauss_measure_band(band, budget=2 ** 13, seed=7)
         assert abs(mc.value - qmc.value) <= 3 * _combined(mc, qmc)
 
     def test_huge_box_is_one(self):
-        est = gauss_measure_mc(Polygon2D.box(50.0, 50.0), 2, 10_000, 1)
+        est = gauss_measure_mc(Polygon2D.box(50.0, 50.0), 10_000, 1)
         assert est.value == 1.0
 
     def test_budget_floor(self):
         with pytest.raises(BudgetTooSmall):
-            gauss_measure_mc(Polygon2D.box(1, 1), 2, 9_999, 0)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            gauss_measure_mc(Polygon2D.box(1, 1), 3, 10_000, 0)
+            gauss_measure_mc(Polygon2D.box(1, 1), 9_999, 0)
 
     def test_polygon_vs_quadrature_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(5):
             p = random_symmetric_polygon(rng)
-            mc = gauss_measure_mc(p, 2, 100_000, int(rng.integers(1 << 30)))
+            mc = gauss_measure_mc(p, 100_000, int(rng.integers(1 << 30)))
             normals, offsets = p.edge_normals()
             exact = oracle_region_prob(normals, -np.inf * np.ones(len(offsets)), offsets)
             assert abs(mc.value - exact) <= 3 * mc.stderr + 1e-7
@@ -97,10 +93,10 @@ class TestMcChunking:
         k1, t1 = HPolytope.axis_box([1.0]), HPolytope.axis_box([1e-3])  # screened path, d = 1
 
         def estimates():
-            return [gauss_measure_mc(k3, 3, 100_000, 1), gauss_measure_mc(poly, 2, 100_000, 2),
-                    minkowski_measure_mc(k2, t2, 2, 100_000, 3),
-                    minkowski_measure_mc(k3, t3, 3, 100_000, 4),
-                    minkowski_measure_mc(k1, t1, 1, 100_000, 5)]
+            return [gauss_measure_mc(k3, 100_000, 1), gauss_measure_mc(poly, 100_000, 2),
+                    minkowski_measure_mc(k2, t2, 100_000, 3),
+                    minkowski_measure_mc(k3, t3, 100_000, 4),
+                    minkowski_measure_mc(k1, t1, 100_000, 5)]
 
         default = estimates()
         monkeypatch.setattr(measure, "MC_CHUNK", 1000)
@@ -111,22 +107,27 @@ class TestMinkowskiMeasureMc:
     def test_tiny_summand_is_near_identity(self):
         k = random_unconditional_hpolytope(8)
         t = HPolytope.axis_box([1e-4, 1e-4])
-        ms = minkowski_measure_mc(k, t, 2, 50_000, 3)
-        mk = gauss_measure_mc(k, 2, 50_000, 4)
+        ms = minkowski_measure_mc(k, t, 50_000, 3)
+        mk = gauss_measure_mc(k, 50_000, 4)
         assert abs(ms.value - mk.value) <= 3 * _combined(ms, mk) + 1e-3
 
     def test_doubling_matches_band(self):
         k = HPolytope.axis_box([1.0, 1.0])
-        ms = minkowski_measure_mc(k, k, 2, 50_000, 5)
+        ms = minkowski_measure_mc(k, k, 50_000, 5)
         band = SymmetricBand(from_covariance(np.eye(2)), ThresholdVector([2.0, 2.0]))
         qmc = gauss_measure_band(band, budget=2 ** 13, seed=6)
         assert abs(ms.value - qmc.value) <= 3 * _combined(ms, qmc)
+
+    def test_summands_in_different_dimensions(self):
+        with pytest.raises(DimensionMismatch):
+            minkowski_measure_mc(HPolytope.axis_box([1.0, 1.0]), HPolytope.axis_box([1.0] * 3),
+                                 10_000, 0)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_box_sum_matches_closed_form(self, dim):
         # d = 2, 3 measure the exact facet form, d = 1, 4 the screened simplex path
         a, b = np.linspace(0.5, 1.0, dim), np.linspace(0.9, 0.3, dim)
-        ms = minkowski_measure_mc(HPolytope.axis_box(a), HPolytope.axis_box(b), dim, 40_000, 11)
+        ms = minkowski_measure_mc(HPolytope.axis_box(a), HPolytope.axis_box(b), 40_000, 11)
         exact = math.prod(math.erf(h / math.sqrt(2.0)) for h in a + b)
         assert abs(ms.value - exact) <= 3 * ms.stderr + 1e-9
 
@@ -134,11 +135,11 @@ class TestMinkowskiMeasureMc:
         rng = np.random.default_rng(9)
         k = random_unconditional_hpolytope(rng)
         t = random_unconditional_hpolytope(rng)
-        ms = minkowski_measure_mc(k, t, 2, 50_000, 7)
+        ms = minkowski_measure_mc(k, t, 50_000, 7)
         from gcilab.convexgeom import polygon_minkowski_sum
 
         s = polygon_minkowski_sum(k.to_polygon(), t.to_polygon())
-        mc = gauss_measure_mc(s, 2, 100_000, 8)
+        mc = gauss_measure_mc(s, 100_000, 8)
         assert abs(ms.value - mc.value) <= 3 * _combined(ms, mc)
 
 

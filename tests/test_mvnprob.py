@@ -170,8 +170,61 @@ class TestRectProb:
             d = int(rng.integers(1, n + 1))
             m = random_correlation(n, d, 1_300 + seed)
             c = rng.uniform(0.5, 2.0, size=n)
-            est = rect_prob(m, -c, c, budget=2 ** 16, seed=seed, replicates=12)
+            est = rect_prob(m, -c, c, budget=2 ** 16, seed=seed)
             assert est.stderr <= 1e-4
+
+
+def _random_rectangle(seed):
+    """A model of rank d <= n <= 6 and bounds, some infinite, drawn from one seed.
+
+    The d free directions have correlation 0.5 R + 0.5 I for a random
+    correlation R, so no conditional variance falls below 1/2; the other
+    n - d coordinates repeat a free one up to sign, so they are exactly
+    dependent. Every coordinate keeps a finite bound within 2.5. This keeps
+    the greedy ranking values away from 1, so ties have probability 0; on
+    near-singular models, or with coordinates infinite on both sides, two of
+    them can round to exactly 1 and the tie then goes by coordinate index.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    d = int(rng.integers(1, n + 1))
+    rows = rng.standard_normal((d, d))
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    corr = 0.5 * (rows @ rows.T) + 0.5 * np.eye(d)
+    free = rng.permutation(np.concatenate([np.arange(d), rng.integers(0, d, n - d)]))
+    sign = rng.choice([-1.0, 1.0], n)
+    model = from_covariance(sign[:, None] * corr[np.ix_(free, free)] * sign[None, :])
+    lower, upper = -rng.uniform(0.1, 2.5, n), rng.uniform(0.1, 2.5, n)
+    side = rng.random(n)
+    lower[side < 0.2] = -np.inf
+    upper[side > 0.8] = np.inf
+    return model, lower, upper, rng
+
+
+class TestRectProbInvariance:
+    """At a fixed seed, rect_prob is invariant under relabelling and rescaling coordinates."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_coordinate_permutation(self, seed):
+        model, lower, upper, rng = _random_rectangle(seed)
+        perm = rng.permutation(model.size)
+        moved = from_covariance(model.sigma[np.ix_(perm, perm)])
+        est = rect_prob(model, lower, upper, budget=2000, seed=seed)
+        again = rect_prob(moved, lower[perm], upper[perm], budget=2000, seed=seed)
+        assert abs(est.value - again.value) <= 1e-12
+        assert abs(est.stderr - again.stderr) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_diagonal_rescaling(self, seed):
+        model, lower, upper, rng = _random_rectangle(seed)
+        d = 10.0 ** rng.uniform(-3.0, 3.0, model.size)
+        scaled = from_covariance(d[:, None] * model.sigma * d[None, :])
+        est = rect_prob(model, lower, upper, budget=2000, seed=seed)
+        again = rect_prob(scaled, d * lower, d * upper, budget=2000, seed=seed)
+        assert abs(est.value - again.value) <= 1e-12
+        assert abs(est.stderr - again.stderr) <= 1e-12
 
 
 class TestReplicateBlocks:
