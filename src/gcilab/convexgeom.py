@@ -7,10 +7,10 @@ Three representations share one toolbox:
   (min / sum), mirroring the support-function identities on shared normals.
 * ``Polygon2D``: exact centrally symmetric convex polygons with edge-merge
   Minkowski sums, convex hulls of unions, and halfplane clipping.
-* ``HPolytope``: general bounded halfspace intersections. For 2 <= d <= 3
-  ``minkowski_sum`` builds the exact facet form of K + T with Qhull; in other
-  dimensions sum membership is decided point by point by phase-1 simplex
-  feasibility (``minkowski_contains``).
+* ``HPolytope``: general bounded halfspace intersections. For 1 <= d <= 4
+  ``minkowski_sum`` builds the exact facet form of K + T (the interval sum in
+  d = 1, Qhull above); for a single point, and so in d >= 5, sum membership
+  is one HiGHS feasibility LP (``minkowski_contains``).
 
 ``scipy.optimize`` and ``scipy.spatial`` are imported inside the functions
 that use them: they are most of the package's cold start, and most calls never
@@ -19,6 +19,7 @@ reach them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product as _iterproduct
 
@@ -38,11 +39,12 @@ from .gaussmodel import CorrelationModel, ThresholdVector, _read_csv_rows, _requ
 
 GEOM_TOL = 1e-12        # membership; times max |coordinate| for vertex dedup and collinearity
 SYMMETRY_MATCH_TOL = 1e-9  # facet match; times max |coordinate| for polygon antipodes
-LP_TOL = 1e-9           # simplex feasibility tolerance
-SIMPLEX_ITER_CAP = 10_000
-# Qhull needs d >= 2, and at d = 5 it raised precision errors on random
-# unconditional pairs, so exact sums are built in these dimensions only.
-EXACT_SUM_DIMS = (2, 3)
+LP_TOL = 1e-9           # primal feasibility tolerance of the sum-membership LP
+# d = 1 is the closed-form interval sum and d = 2..4 the Qhull hull of vertex-pair
+# sums. At d = 5 that hull blows up (746-2,466 facets in 0.4-16.6 s on random
+# unconditional pairs, and Qhull precision errors on some), so d >= 5 decides
+# membership point by point.
+EXACT_SUM_DIMS = (1, 2, 3, 4)
 FACET_MERGE_TOL = 1e-9  # max gap between hull equations of one facet
 
 
@@ -199,10 +201,12 @@ def polygon_minkowski_sum(p: Polygon2D, q: Polygon2D) -> Polygon2D:
         elif j >= lb:
             i += 1
         else:
+            # parallel edges within GEOM_TOL in sin(angle), whatever the units
             cr = ea[0] * eb[1] - ea[1] * eb[0]
-            if cr > GEOM_TOL:
+            tol = GEOM_TOL * math.hypot(*ea) * math.hypot(*eb)
+            if cr > tol:
                 i += 1
-            elif cr < -GEOM_TOL:
+            elif cr < -tol:
                 j += 1
             else:
                 i += 1
@@ -446,20 +450,10 @@ class HPolytope:
                          np.concatenate([self.offsets, other.offsets]))
 
     def to_polygon(self) -> Polygon2D:
-        """Vertex form in 2-D: pairwise facet intersections kept if feasible."""
+        """Vertex form in 2-D."""
         if self.dim != 2:
             raise DimensionMismatch("vertex conversion is only available in 2-D")
-        pts = []
-        m = self.normals.shape[0]
-        for i in range(m):
-            for j in range(i + 1, m):
-                mat = np.vstack([self.normals[i], self.normals[j]])
-                if abs(np.linalg.det(mat)) < 1e-12:
-                    continue
-                v = np.linalg.solve(mat, np.array([self.offsets[i], self.offsets[j]]))
-                if self.contains_point(v, tol=1e-9):
-                    pts.append(v)
-        return Polygon2D.from_points(np.asarray(pts))
+        return Polygon2D.from_points(polytope_vertices(self))
 
 
 def _support_lp(a: np.ndarray, b: np.ndarray, direction: np.ndarray) -> float:
@@ -511,6 +505,7 @@ def contains(body, point) -> bool:
     expected = 2 if isinstance(body, Polygon2D) else body.dim
     if p.shape != (expected,):
         raise DimensionMismatch(f"point must live in R^{expected}")
+    _require_finite(p, "point")
     return body.contains_point(p)
 
 
@@ -527,11 +522,12 @@ def polytope_vertices(body: HPolytope) -> np.ndarray:
 
 
 def minkowski_sum(k: HPolytope, t: HPolytope) -> HPolytope:
-    """Exact facet form of K + T for 2 <= d <= 3.
+    """Exact facet form of K + T for d in ``EXACT_SUM_DIMS``.
 
+    In d = 1 both bodies are symmetric intervals and the half-widths add. Above,
     K + T is the convex hull of all pairwise vertex sums. Qhull returns one
-    equation per triangle of that hull, so the equations of coplanar
-    triangles are merged into one facet each.
+    equation per simplex of that hull, so the equations of coplanar simplices
+    are merged into one facet each.
     """
     from scipy.spatial import ConvexHull, cKDTree
 
@@ -539,6 +535,8 @@ def minkowski_sum(k: HPolytope, t: HPolytope) -> HPolytope:
         raise DimensionMismatch("summands live in different dimensions")
     if k.dim not in EXACT_SUM_DIMS:
         raise InvalidDimension(f"exact Minkowski sums need d in {EXACT_SUM_DIMS}, got {k.dim}")
+    if k.dim == 1:
+        return HPolytope.axis_box([k.offsets.min() + t.offsets.min()])
     vk, vt = polytope_vertices(k), polytope_vertices(t)
     eq = ConvexHull((vk[:, None, :] + vt[None, :, :]).reshape(-1, k.dim)).equations
     pairs = cKDTree(eq).query_pairs(FACET_MERGE_TOL, p=np.inf, output_type="ndarray")
@@ -548,77 +546,27 @@ def minkowski_sum(k: HPolytope, t: HPolytope) -> HPolytope:
 
 
 def minkowski_contains(k: HPolytope, t: HPolytope, point) -> bool:
-    """point in K + T, decided by phase-1 simplex feasibility.
+    """point in K + T, decided by one HiGHS feasibility LP.
 
-    Feasibility of {y : A_K y <= b_K, A_T (point - y) <= b_T} is equivalent to
-    membership; Bland's rule guards against cycling and the iteration cap
-    raises ``SolverFailure``.
+    Membership is equivalent to feasibility of
+    {y : A_K y <= b_K, A_T (point - y) <= b_T}, with each row allowed a
+    violation of ``LP_TOL``.
     """
+    from scipy.optimize import linprog
+
     if k.dim != t.dim:
         raise DimensionMismatch("summands live in different dimensions")
     p = np.asarray(point, dtype=float)
     if p.shape != (k.dim,):
         raise DimensionMismatch("point dimension must match the summands")
+    _require_finite(p, "point")
     g = np.vstack([k.normals, -t.normals])
     h = np.concatenate([k.offsets, t.offsets - t.normals @ p])
-    return phase1_feasible(g, h)
-
-
-def phase1_feasible(g: np.ndarray, h: np.ndarray,
-                    tol: float = LP_TOL, max_iters: int = SIMPLEX_ITER_CAP) -> bool:
-    """Is {x : g x <= h} nonempty? Phase-1 simplex with Bland's rule.
-
-    Free variables are split into positive parts, slacks complete the rows,
-    and artificials cover rows with negative right-hand sides; the system is
-    feasible iff the artificial sum can be driven to <= tol.
-    """
-    g = np.atleast_2d(np.asarray(g, dtype=float))
-    h = np.atleast_1d(np.asarray(h, dtype=float)).copy()
-    m, p = g.shape
-    a = np.hstack([g, -g, np.eye(m)])
-    flip = h < 0
-    if not flip.any():
-        return True  # x = 0 with slack h is already feasible
-    a[flip] *= -1.0
-    h[flip] *= -1.0
-    ncols = a.shape[1]
-    art_rows = np.flatnonzero(flip)
-    nart = art_rows.size
-    tableau = np.zeros((m + 1, ncols + nart + 1))
-    tableau[:m, :ncols] = a
-    tableau[:m, -1] = h
-    art_cols = ncols + np.arange(nart)
-    tableau[art_rows, art_cols] = 1.0
-    basis = np.empty(m, dtype=int)
-    basis[~flip] = 2 * p + np.flatnonzero(~flip)
-    basis[flip] = art_cols
-    # Canonical phase-1 cost row: unit cost on artificials, reduced.
-    tableau[m, art_cols] = 1.0
-    tableau[m] -= tableau[art_rows].sum(axis=0)
-
-    for _ in range(max_iters):
-        reduced = tableau[m, :ncols]  # artificials never re-enter
-        improving = np.flatnonzero(reduced < -tol)
-        if improving.size == 0:
-            break
-        enter = int(improving[0])  # Bland: smallest improving index
-        col = tableau[:m, enter]
-        positive = col > tol
-        if not positive.any():
-            raise SolverFailure("phase-1 column with no positive pivot")
-        ratios = np.full(m, np.inf)
-        ratios[positive] = tableau[:m, -1][positive] / col[positive]
-        rmin = ratios.min()
-        ties = np.flatnonzero(ratios <= rmin + 1e-12)
-        leave = int(ties[np.argmin(basis[ties])])  # Bland tie-break
-        pivot = tableau[leave, enter]
-        tableau[leave] /= pivot
-        rows = np.arange(m + 1) != leave
-        tableau[rows] -= np.outer(tableau[rows, enter], tableau[leave])
-        basis[leave] = enter
-    else:
-        raise SolverFailure(f"simplex iteration cap {max_iters} exceeded")
-    return bool(-tableau[m, -1] <= tol)
+    res = linprog(np.zeros(k.dim), A_ub=g, b_ub=h, bounds=[(None, None)] * k.dim,
+                  method="highs", options={"primal_feasibility_tolerance": LP_TOL})
+    if res.status not in (0, 2):
+        raise SolverFailure(f"membership LP failed with status {res.status}")
+    return res.status == 0
 
 
 # ---------------------------------------------------------------------------

@@ -437,8 +437,9 @@ def check_lattice_premise(k: HPolytope, t: HPolytope, samples: int = 1000,
 
     For x in K and y in T in the positive orthant, the meet x ^ y must lie in
     K inter T and the join x v y in K + T. Joins are tested against the exact
-    facet form ``minkowski_sum(k, t)`` for d in ``EXACT_SUM_DIMS``, else one by
-    one with ``minkowski_contains``. Any failure raises ``PremiseViolated``:
+    facet form ``minkowski_sum(k, t)`` for d in ``EXACT_SUM_DIMS`` (1 to 4),
+    and for d >= 5 one by one with the HiGHS feasibility LP of
+    ``minkowski_contains``. Any failure raises ``PremiseViolated``:
     the premise is a consequence of unconditionality, so a failure means the
     geometry code is wrong.
     """

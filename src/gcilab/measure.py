@@ -4,7 +4,7 @@ Band bodies reduce exactly to rectangle probabilities of their model, so the
 QMC engine carries them in any dimension. H-polytopes get Monte Carlo
 membership estimates (``ineqlab._measure`` uses them for d >= 3 only; planar
 bodies go to the quadrature oracle), and so does a Minkowski sum K + T:
-through its exact facet form for 2 <= d <= 3, else point by point. 2-D bodies
+through its exact facet form for 1 <= d <= 4, else point by point. 2-D bodies
 additionally expose the fiber measure f(s), the Gaussian mass of the vertical
 slice at s, used by the slab-lifting arguments.
 """
@@ -21,7 +21,7 @@ from .convexgeom import (
     HPolytope,
     Polygon2D,
     SymmetricBand,
-    minkowski_contains,  # shell test off EXACT_SUM_DIMS; perfbench's tracer wraps it here
+    minkowski_contains,  # shell test for d >= 5; perfbench's tracer wraps it here
     minkowski_sum,
 )
 from .errors import BudgetTooSmall, DimensionMismatch
@@ -74,13 +74,13 @@ def gauss_measure_mc(body, budget: int, seed) -> Estimate:
 def minkowski_measure_mc(k: HPolytope, t: HPolytope, budget: int, seed) -> Estimate:
     """gamma_d(K + T) by Monte Carlo membership.
 
-    For d in ``EXACT_SUM_DIMS`` this is ``gauss_measure_mc`` on the exact
-    facet form ``minkowski_sum(k, t)``, drawing the same samples. In other
-    dimensions two screens implied by the membership semantics skip redundant
+    For d in ``EXACT_SUM_DIMS`` (1 to 4) this is ``gauss_measure_mc`` on the
+    exact facet form ``minkowski_sum(k, t)``, drawing the same samples. For
+    d >= 5 two screens implied by the membership semantics skip redundant
     solves: points inside K or T are inside K + T with a constructive witness,
     and a point beyond h_K(u) + h_T(u) along any facet normal u is separated
-    from the sum. Remaining shell points go through the phase-1 simplex of
-    ``minkowski_contains``.
+    from the sum. Each remaining shell point costs one HiGHS feasibility LP
+    (``minkowski_contains``).
     """
     if budget < MC_MIN_BUDGET:
         raise BudgetTooSmall(f"Monte Carlo budget {budget} < {MC_MIN_BUDGET}")

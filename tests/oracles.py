@@ -2,8 +2,9 @@
 
 Everything here is deliberately built from primitives different from the
 package's estimation paths: raw adaptive quadrature of the Gaussian density,
-bisection inverses, brute-force convex hulls of pairwise vertex sums, and the
-polar formula for the Gaussian measure of a planar polygon.
+bisection inverses, brute-force convex hulls of pairwise vertex sums, the
+polar formula for the Gaussian measure of a planar polygon, and a hand-written
+phase-1 simplex for Minkowski-sum membership.
 Expected values asserted in the tests are computed through these functions.
 """
 
@@ -16,6 +17,8 @@ from scipy.optimize import brentq
 from scipy.spatial import ConvexHull
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+LP_TOL = 1e-9           # simplex feasibility tolerance
+SIMPLEX_ITER_CAP = 10_000
 
 
 def density(x: float) -> float:
@@ -127,3 +130,69 @@ def planar_measure_polar(normals, offsets) -> float:
         part, _ = quad(mass_in_ray, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)
         total += part
     return total / (2.0 * math.pi)
+
+
+def minkowski_contains_simplex(k, t, point) -> bool:
+    """point in K + T for H-polytopes K, T: feasibility of
+    {y : A_K y <= b_K, A_T (point - y) <= b_T} by ``phase1_feasible``."""
+    p = np.asarray(point, dtype=float)
+    g = np.vstack([k.normals, -t.normals])
+    h = np.concatenate([k.offsets, t.offsets - t.normals @ p])
+    return phase1_feasible(g, h)
+
+
+def phase1_feasible(g: np.ndarray, h: np.ndarray,
+                    tol: float = LP_TOL, max_iters: int = SIMPLEX_ITER_CAP) -> bool:
+    """Is {x : g x <= h} nonempty? Phase-1 simplex with Bland's rule.
+
+    Free variables are split into positive parts, slacks complete the rows,
+    and artificials cover rows with negative right-hand sides; the system is
+    feasible iff the artificial sum can be driven to <= tol.
+    """
+    g = np.atleast_2d(np.asarray(g, dtype=float))
+    h = np.atleast_1d(np.asarray(h, dtype=float)).copy()
+    m, p = g.shape
+    a = np.hstack([g, -g, np.eye(m)])
+    flip = h < 0
+    if not flip.any():
+        return True  # x = 0 with slack h is already feasible
+    a[flip] *= -1.0
+    h[flip] *= -1.0
+    ncols = a.shape[1]
+    art_rows = np.flatnonzero(flip)
+    nart = art_rows.size
+    tableau = np.zeros((m + 1, ncols + nart + 1))
+    tableau[:m, :ncols] = a
+    tableau[:m, -1] = h
+    art_cols = ncols + np.arange(nart)
+    tableau[art_rows, art_cols] = 1.0
+    basis = np.empty(m, dtype=int)
+    basis[~flip] = 2 * p + np.flatnonzero(~flip)
+    basis[flip] = art_cols
+    # Canonical phase-1 cost row: unit cost on artificials, reduced.
+    tableau[m, art_cols] = 1.0
+    tableau[m] -= tableau[art_rows].sum(axis=0)
+
+    for _ in range(max_iters):
+        reduced = tableau[m, :ncols]  # artificials never re-enter
+        improving = np.flatnonzero(reduced < -tol)
+        if improving.size == 0:
+            break
+        enter = int(improving[0])  # Bland: smallest improving index
+        col = tableau[:m, enter]
+        positive = col > tol
+        if not positive.any():
+            raise RuntimeError("phase-1 column with no positive pivot")
+        ratios = np.full(m, np.inf)
+        ratios[positive] = tableau[:m, -1][positive] / col[positive]
+        rmin = ratios.min()
+        ties = np.flatnonzero(ratios <= rmin + 1e-12)
+        leave = int(ties[np.argmin(basis[ties])])  # Bland tie-break
+        pivot = tableau[leave, enter]
+        tableau[leave] /= pivot
+        rows = np.arange(m + 1) != leave
+        tableau[rows] -= np.outer(tableau[rows, enter], tableau[leave])
+        basis[leave] = enter
+    else:
+        raise RuntimeError(f"simplex iteration cap {max_iters} exceeded")
+    return bool(-tableau[m, -1] <= tol)

@@ -1,4 +1,4 @@
-"""Band bodies, exact 2-D polygon operations, H-polytopes, and the simplex."""
+"""Band bodies, exact 2-D polygon operations, H-polytopes, and Minkowski sums."""
 
 import itertools
 import math
@@ -23,7 +23,6 @@ from gcilab.convexgeom import (
     load_polygon_csv,
     minkowski_contains,
     minkowski_sum,
-    phase1_feasible,
     polygon_minkowski_sum,
     polytope_vertices,
     random_symmetric_polygon,
@@ -121,6 +120,17 @@ class TestPolygonMinkowski:
             brute = oracles.minkowski_vertices_bruteforce(p.vertices, q.vertices)
             assert len(s) <= len(p) + len(q)
             assert abs(s.area() - oracles.polygon_area_bruteforce(brute)) <= 1e-9
+
+    def test_units_do_not_matter(self):
+        p = random_symmetric_polygon(np.random.default_rng(3))
+        q = random_symmetric_polygon(np.random.default_rng(4))
+        base = polygon_minkowski_sum(p, q)
+        assert len(base) == 12
+        for s in (1.0, 1e-4, 1e-6, 1e-7):
+            scaled = polygon_minkowski_sum(Polygon2D.from_points(p.vertices * s),
+                                           Polygon2D.from_points(q.vertices * s))
+            assert len(scaled) == len(base)
+            assert scaled.area() / s**2 == pytest.approx(base.area(), rel=1e-12)
 
     def test_support_additivity_sampled_directions(self):
         rng = np.random.default_rng(1)
@@ -314,7 +324,24 @@ class TestMinkowskiContains:
         assert not minkowski_contains(k, t, [1.5 + 1e-6, 0.0])
         assert minkowski_contains(k, t, [1.5 - 1e-6, 0.0])
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_agrees_with_simplex_oracle(self, dim):
+        k, t = _pair(50 + dim, dim)
+        pts = _probe_points(k, t, 50 + dim)[::8]
+        lp = [minkowski_contains(k, t, p) for p in pts]
+        simplex = [oracles.minkowski_contains_simplex(k, t, p) for p in pts]
+        assert lp == simplex
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_point_rejected(self, bad):
+        k = HPolytope.axis_box([1.0, 1.0])
+        with pytest.raises(NotFinite):
+            minkowski_contains(k, k, [bad, 0.0])
+        with pytest.raises(NotFinite):
+            contains(k, [bad, 0.0])
+
     def test_cross_validated_against_polygon_sum(self):
+        # the simplex oracle that the LP and the exact sums are checked against
         rng = np.random.default_rng(17)
         k = random_unconditional_hpolytope(rng)
         t = random_unconditional_hpolytope(rng)
@@ -326,20 +353,20 @@ class TestMinkowskiContains:
             boundary = abs(np.max(s.edge_normals()[0] @ p - s.edge_normals()[1]))
             if boundary <= 1e-7:
                 continue
-            assert minkowski_contains(k, t, p) == bool(expect)
+            assert oracles.minkowski_contains_simplex(k, t, p) == bool(expect)
 
     def test_phase1_on_infeasible_system(self):
         g = np.array([[1.0], [-1.0]])
         h = np.array([-1.0, -1.0])  # x <= -1 and x >= 1
-        assert not phase1_feasible(g, h)
+        assert not oracles.phase1_feasible(g, h)
 
     def test_phase1_degenerate_ties(self):
         g = np.array([[1.0, 1.0], [1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         h = np.array([0.0, 0.0, -0.25, -0.25])
         # Needs x >= 0.25 componentwise but x1 + x2 <= 0: infeasible.
-        assert not phase1_feasible(g, h)
+        assert not oracles.phase1_feasible(g, h)
         h2 = np.array([1.0, 1.0, -0.25, -0.25])
-        assert phase1_feasible(g, h2)
+        assert oracles.phase1_feasible(g, h2)
 
 
 def _pair(seed: int, dim: int):
@@ -375,12 +402,12 @@ def _vertices_bruteforce(body: HPolytope) -> np.ndarray:
 
 class TestMinkowskiSum:
     @settings(max_examples=25, deadline=None)
-    @given(seed=_seeds, dim=st.sampled_from([2, 3]))
+    @given(seed=_seeds, dim=st.sampled_from([2, 3, 4]))
     def test_agrees_with_simplex_membership(self, seed, dim):
         k, t = _pair(seed, dim)
         pts = _probe_points(k, t, seed)
         exact = minkowski_sum(k, t).contains_many(pts)
-        simplex = np.array([minkowski_contains(k, t, p) for p in pts])
+        simplex = np.array([oracles.minkowski_contains_simplex(k, t, p) for p in pts])
         np.testing.assert_array_equal(exact, simplex)
 
     @settings(max_examples=25, deadline=None)
@@ -394,7 +421,7 @@ class TestMinkowskiSum:
         np.testing.assert_array_equal(exact.contains_many(pts), poly.contains_many(pts))
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=_seeds, dim=st.sampled_from([2, 3]))
+    @given(seed=_seeds, dim=st.sampled_from([2, 3, 4]))
     def test_merged_facets_closed_under_negation(self, seed, dim):
         s = minkowski_sum(*_pair(seed, dim))
         gaps = np.linalg.norm(s.normals[:, None, :] + s.normals[None, :, :], axis=2)
@@ -424,7 +451,14 @@ class TestMinkowskiSum:
             j = int(np.argmax(np.abs(u)))
             assert abs(u[j]) == pytest.approx(1.0) and c == pytest.approx([1.5, 1.5, 3.0][j])
 
-    @pytest.mark.parametrize("dim", [1, 4])
+    def test_intervals_add_half_widths(self):
+        k = HPolytope.axis_box([0.7])
+        t = HPolytope.from_halfspaces([[1.0], [-1.0], [2.0], [-2.0]], [1.0, 1.0, 1.0, 1.0])
+        s = minkowski_sum(k, t)  # T = [-0.5, 0.5]
+        np.testing.assert_array_equal(s.normals, [[1.0], [-1.0]])
+        np.testing.assert_allclose(s.offsets, [1.2, 1.2], rtol=1e-15)
+
+    @pytest.mark.parametrize("dim", [5])
     def test_rejects_dimensions_without_exact_form(self, dim):
         k = HPolytope.axis_box(np.ones(dim))
         with pytest.raises(InvalidDimension):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from gcilab import ineqlab
+from gcilab import ineqlab, measure
 from gcilab.convexgeom import (
     HPolytope,
     Polygon2D,
@@ -47,6 +47,7 @@ from gcilab.ineqlab import (
     strong_ratio,
     tensorize_check,
 )
+from gcilab.measure import minkowski_measure_mc
 from gcilab.mvnprob import Estimate, ProbabilityEstimate, symmetric_rect_prob
 
 RANK1_2 = from_covariance(np.ones((2, 2)))
@@ -466,13 +467,26 @@ class TestLatticePremise:
         rep = check_lattice_premise(k, k, samples=100, seed=3)
         assert rep.passed
 
-    @pytest.mark.parametrize("dim", [1, 3, 4])
+    @pytest.mark.parametrize("dim", [1, 3, 4, 5])
     def test_random_pairs_in_other_dimensions(self, dim):
-        # d = 3 joins go through the exact sum, d = 1 and 4 through the simplex
+        # d <= 4 joins go through the exact sum, d = 5 through the membership LP
         rng = np.random.default_rng(40 + dim)
         k = random_unconditional_hpolytope(rng, dim)
         t = random_unconditional_hpolytope(rng, dim)
         assert check_lattice_premise(k, t, samples=150, seed=4).passed
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_exact_sum_dims_never_solve_membership_lps(self, dim, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("minkowski_contains called")
+
+        monkeypatch.setattr(ineqlab, "minkowski_contains", refuse)
+        monkeypatch.setattr(measure, "minkowski_contains", refuse)
+        rng = np.random.default_rng(60 + dim)
+        k = random_unconditional_hpolytope(rng, dim)
+        t = random_unconditional_hpolytope(rng, dim)
+        assert check_lattice_premise(k, t, samples=50, seed=5).passed
+        assert 0.0 < minkowski_measure_mc(k, t, 10_000, 6).value <= 1.0
 
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(DimensionMismatch):

@@ -90,13 +90,15 @@ class TestMcChunking:
         k3, t3 = random_unconditional_hpolytope(rng, 3), random_unconditional_hpolytope(rng, 3)
         k2, t2 = random_unconditional_hpolytope(rng, 2), random_unconditional_hpolytope(rng, 2)
         poly = random_symmetric_polygon(rng)
-        k1, t1 = HPolytope.axis_box([1.0]), HPolytope.axis_box([1e-3])  # screened path, d = 1
+        # screened path, d = 5: a thin shell keeps the membership LPs few
+        k5 = HPolytope.weighted_l1_ball([1.0, 0.8, 0.6, 0.9, 1.2], 2.0)
+        t5 = HPolytope.axis_box(np.full(5, 1e-4))
 
         def estimates():
             return [gauss_measure_mc(k3, 100_000, 1), gauss_measure_mc(poly, 100_000, 2),
                     minkowski_measure_mc(k2, t2, 100_000, 3),
                     minkowski_measure_mc(k3, t3, 100_000, 4),
-                    minkowski_measure_mc(k1, t1, 100_000, 5)]
+                    minkowski_measure_mc(k5, t5, 100_000, 5)]
 
         default = estimates()
         monkeypatch.setattr(measure, "MC_CHUNK", 1000)
@@ -125,7 +127,7 @@ class TestMinkowskiMeasureMc:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_box_sum_matches_closed_form(self, dim):
-        # d = 2, 3 measure the exact facet form, d = 1, 4 the screened simplex path
+        # every d here measures the exact facet form
         a, b = np.linspace(0.5, 1.0, dim), np.linspace(0.9, 0.3, dim)
         ms = minkowski_measure_mc(HPolytope.axis_box(a), HPolytope.axis_box(b), 40_000, 11)
         exact = math.prod(math.erf(h / math.sqrt(2.0)) for h in a + b)
