@@ -67,7 +67,6 @@ from .mvnprob import (
     oracle_rect_prob,
     oracle_region_prob,
     rect_prob,
-    std_normal_cdf,
     symmetric_rect_prob,
 )
 from .sidakcorrect import (

@@ -61,7 +61,7 @@ from .mvnprob import (
 )
 
 CLOSED_TOL = 1e-12
-RS_TOL = 1e-9
+RS_TOL = 1e-9            # relative tolerance of a shoelace area
 SUPPORTED = "supported"
 VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
@@ -498,12 +498,16 @@ def check_tehranchi(model: CorrelationModel, s_thr: ThresholdVector,
 def check_rogers_shephard(p: Polygon2D, q: Polygon2D) -> InequalityReport:
     """Rogers-Shephard area inequality: area(P+Q) area(P inter Q) >= area(P) area(Q).
 
-    Deterministic shoelace areas; the reported stderr encodes the 1e-9
-    geometric tolerance so the verdict gate sits exactly there.
+    Deterministic shoelace areas; each area's stderr is ``RS_TOL`` / 6 of
+    the area itself, so the verdict gate sits at a relative 1e-9 of the
+    products and reads the same in every unit of length.
     """
-    total, inter = polygon_minkowski_sum(p, q), intersect_polygons(p, q)
-    lhs = [Estimate(total.area(), RS_TOL / 6.0), Estimate(inter.area(), RS_TOL / 6.0)]
-    rhs = [Estimate(p.area(), RS_TOL / 6.0), Estimate(q.area(), RS_TOL / 6.0)]
+    def area(polygon: Polygon2D) -> Estimate:
+        value = polygon.area()
+        return Estimate(value, value * RS_TOL / 6.0)
+
+    lhs = [area(polygon_minkowski_sum(p, q)), area(intersect_polygons(p, q))]
+    rhs = [area(p), area(q)]
     inst = {"p": p.vertices, "q": q.vertices}
     return _evaluate("rogers-shephard", inst, lhs, rhs, 0, None)
 

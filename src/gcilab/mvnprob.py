@@ -1,10 +1,18 @@
 """Univariate normal primitives and multivariate rectangle probabilities.
 
-The rectangle engine estimates Pr(a_i <= X_i <= b_i for all i) for a centered
-Gaussian vector by sequential conditioning through a greedily ordered
-semidefinite Cholesky factorization: each coordinate is mapped through the
-normal CDF and its inverse onto the unit cube, and the cube integral is
-evaluated on randomly shifted rank-1 lattices with tent periodization.
+``rect_prob`` picks the method for Pr(a_i <= X_i <= b_i for all i) of a
+centered Gaussian vector. One-factor models, whose correlations are
+lam_i lam_j off the diagonal with |lam_i| < 1 (equicorrelation rho in (0, 1),
+every n = 2 model with 0 < |rho| < 1), get one deterministic 1-D integral over
+the common factor on graded Gauss-Legendre panels, accepted when the panels
+and the panels halved agree within ORACLE_TOL / 10. Every other model, and a
+one-factor model that fails that check, goes to the sampling engine.
+
+The sampling engine (``_qmc_rect_prob``) conditions sequentially through a
+greedily ordered semidefinite Cholesky factorization: each coordinate is
+mapped through the normal CDF and its inverse onto the unit cube, and the
+cube integral is evaluated on randomly shifted rank-1 lattices with tent
+periodization.
 Replicated randomizations supply a standard error. Infinite bounds are exact
 (the CDF is evaluated symbolically at +-inf, never truncated), and
 rank-deficient covariances are handled without regularization.
@@ -38,7 +46,7 @@ from .errors import (
     InvalidParameters,
     OutOfRange,
 )
-from .gaussmodel import CorrelationModel, ThresholdVector
+from .gaussmodel import GRAM_TOL, PIVOT_TOL, CorrelationModel, ThresholdVector
 
 ORACLE_TOL = 1e-7        # absolute tolerance of the quadrature oracle
 CDF_FLOOR = 1e-300       # lower clamp for deep-tail CDF values
@@ -51,8 +59,11 @@ QMC_BLOCK = 1 << 17      # coordinates (n x points) per kernel call: 1 MB per ar
 ORACLE_BLOCK = 1 << 21   # entries per (constraint x point) array in the oracle: 16 MB
 SIGMAS = 3.0             # verdict and confidence-bound width, in standard errors
 REPLICATES = 12          # independently shifted lattice copies behind every QMC stderr
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)  # per quadrature panel
+_PANEL_MAX_LEN = 0.5     # longest quadrature panel, in standard deviations
 
 METHOD_ORACLE = "quadrature-oracle"
+METHOD_ONE_FACTOR = "one-factor"
 METHOD_QMC = "qmc"
 METHOD_MC = "mc"
 
@@ -100,20 +111,6 @@ class Estimate:
 
 
 ProbabilityEstimate = Estimate  # the measurement-side name of the same type
-
-
-def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF, absolute error <= 1e-12 for finite x, exact at +-inf.
-
-    Deep-tail values are clamped at 1e-300 so downstream logarithms stay finite.
-    """
-    x = float(x)
-    if math.isnan(x):
-        raise OutOfRange("CDF argument must not be NaN")
-    if math.isinf(x):
-        return 0.0 if x < 0 else 1.0
-    p = float(ndtr(x))
-    return max(p, CDF_FLOOR)
 
 
 def inv_std_normal_cdf(p: float) -> float:
@@ -360,6 +357,138 @@ def _cbc_lattice(n_dim: int, n_target: int) -> tuple[tuple[float, ...], int]:
     return tuple(z / n), n
 
 
+def _one_factor_loadings(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Standard deviations and loadings lam of a one-factor covariance, or None.
+
+    A model is one-factor when every variance is positive and the
+    off-diagonal part of its correlation matrix is lam lam^T with all
+    |lam_i| < 1. Exact equicorrelation rho >= 0 is recognized first (lam_i =
+    sqrt(rho)). Otherwise the largest off-diagonal entry C_jk = lam_j lam_k
+    and the other rows, which give the ratio lam_j / lam_k by least squares,
+    fix lam_j, and lam_i = C_ij / lam_j; the fit must reproduce C within
+    ``GRAM_TOL``, so n = 2 with 0 < |rho| < 1 always qualifies. Everything
+    is judged on the correlation scale, as the sampling engine does, so the
+    answer does not depend on units; a residual variance 1 - lam_i^2 at or
+    below ``PIVOT_TOL`` counts as exact dependence. Such models, zero
+    variances and independent coordinates (lam = 0, already exact on the
+    sampling engine's product path) return None.
+    """
+    n = sigma.shape[0]
+    var = sigma.diagonal()
+    if n < 2 or var.min() <= 0.0:
+        return None
+    sd = np.sqrt(var)
+    c = sigma / np.outer(sd, sd)
+    np.fill_diagonal(c, c[0, 1])
+    if c[0, 1] >= 0.0 and c.min() == c.max():
+        lam = np.full(n, math.sqrt(c[0, 1]))
+    else:
+        np.fill_diagonal(c, 0.0)  # then sums over rows i != j, k need no mask
+        j, k = divmod(int(np.abs(c).argmax()), n)
+        den = c[:, k] @ c[:, k] - c[j, k] ** 2
+        lam_j2 = abs(c[j, k]) if den == 0.0 else c[j, k] * (c[:, j] @ c[:, k]) / den
+        if not lam_j2 > 0.0:
+            return None
+        lam = c[:, j] / math.sqrt(lam_j2)
+        lam[j] = math.sqrt(lam_j2)
+        resid = np.outer(lam, lam) - c
+        np.fill_diagonal(resid, 0.0)
+        if np.abs(resid).max() > GRAM_TOL:
+            return None
+    if not lam.any() or (lam * lam).max() >= 1.0 - PIVOT_TOL:
+        return None
+    return sd, lam
+
+
+def _one_factor_edges(lo, hi, lam) -> np.ndarray:
+    """Panel edges on [-QUAD_CLIP, QUAD_CLIP] for the one-factor integrand.
+
+    Factor i switches on across z = lo_i / lam_i and off across hi_i / lam_i,
+    over a width h_i = s_i / |lam_i| that vanishes as |lam_i| -> 1. Edges sit
+    at each switch point and at distances h, 2h, 4h, ... from it up to
+    ``_PANEL_MAX_LEN``, so every panel is smooth on its own scale and the
+    panel count grows like log(1 / h), not 1 / h.
+    """
+    nz = lam != 0.0
+    points = np.concatenate([lo[nz] / lam[nz], hi[nz] / lam[nz]])
+    width = np.tile(np.sqrt(1.0 - lam[nz] ** 2) / np.abs(lam[nz]), 2)
+    near = np.isfinite(points) & (np.abs(points) < QUAD_CLIP + _PANEL_MAX_LEN)
+    points, width = points[near], width[near]
+    edges = [np.array([-QUAD_CLIP, QUAD_CLIP]), points]
+    if points.size and width.min() < _PANEL_MAX_LEN:
+        steps = int(math.ceil(math.log2(_PANEL_MAX_LEN / width.min())))
+        grades = width[:, None] * 2.0 ** np.arange(steps)
+        short = grades < _PANEL_MAX_LEN
+        centers = np.repeat(points, short.sum(axis=1))
+        edges += [centers - grades[short], centers + grades[short]]
+    edges = np.concatenate(edges)
+    return np.unique(edges[np.abs(edges) <= QUAD_CLIP])
+
+
+def _gauss_legendre(edges, split: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of 16-node Gauss-Legendre panels between sorted edges.
+
+    Gaps longer than ``_PANEL_MAX_LEN`` are cut into equal panels no longer
+    than that, so a fixed-order rule stays accurate, and every panel into
+    `split` equal parts.
+    """
+    widths = np.diff(edges)
+    pieces = np.ceil(widths / _PANEL_MAX_LEN).astype(int) * split
+    half = np.repeat(0.5 * widths / pieces, pieces)
+    within = np.arange(half.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    centers = np.repeat(edges[:-1], pieces) + half * (2 * within + 1)
+    nodes = (centers[:, None] + half[:, None] * _GL_NODES).ravel()
+    return nodes, (half[:, None] * _GL_WEIGHTS).ravel()
+
+
+def _one_factor_mass(z, weights, lo, hi, lam, counts) -> float:
+    """Sum over nodes z of weights * phi(z) prod_i Pr(lo_i <= lam_i z + s_i e_i <= hi_i)^count_i.
+
+    An interval centred above 0 is taken as Phi(-a) - Phi(-b), so upper-tail
+    intervals keep the relative precision of lower-tail ones.
+    """
+    s = np.sqrt(1.0 - lam ** 2)[:, None]
+    shift = lam[:, None] * z
+    a = (lo[:, None] - shift) / s
+    b = (hi[:, None] - shift) / s
+    flip = a + b > 0.0
+    probs = ndtr(np.where(flip, -a, b)) - ndtr(np.where(flip, -b, a))
+    joint = np.prod(probs ** counts[:, None], axis=0)
+    dens = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return float(np.sum(weights * dens * joint))
+
+
+def _one_factor_prob(model: CorrelationModel, lower, upper) -> Estimate | None:
+    """Exact one-factor rectangle probability, or None when the model or rule does not apply.
+
+    With X_i = sd_i (lam_i Z + s_i E_i), s_i = sqrt(1 - lam_i^2) and Z, E
+    independent standard normals, Pr(lower <= X <= upper) is the single
+    integral over z of phi(z) prod_i [Phi((b_i - lam_i z) / s_i) -
+    Phi((a_i - lam_i z) / s_i)] at standardized bounds a, b, for any n
+    (Dunnett & Sobel 1955). Coordinates unbounded on both sides drop out, and
+    coordinates with equal (a_i, b_i, lam_i) share one factor raised to their
+    count. The panels between ``_one_factor_edges`` and the same panels
+    halved must agree within ORACLE_TOL / 10; otherwise None, and the caller
+    samples.
+    """
+    fit = _one_factor_loadings(model.sigma)
+    if fit is None:
+        return None
+    sd, lam = fit
+    keep = ~np.isneginf(lower) | ~np.isposinf(upper)
+    if not keep.any():
+        return None  # nothing to integrate: the product path gives exactly 1
+    rows, counts = np.unique(np.column_stack([lower / sd, upper / sd, lam])[keep],
+                             axis=0, return_counts=True)
+    lo, hi, lam = rows.T
+    edges = _one_factor_edges(lo, hi, lam)
+    coarse = _one_factor_mass(*_gauss_legendre(edges), lo, hi, lam, counts)
+    value = _one_factor_mass(*_gauss_legendre(edges, 2), lo, hi, lam, counts)
+    if abs(value - coarse) > 0.1 * ORACLE_TOL:
+        return None
+    return Estimate(min(max(value, 0.0), 1.0), ORACLE_TOL, 0, METHOD_ONE_FACTOR, None)
+
+
 def rect_prob(
     model: CorrelationModel,
     lower,
@@ -367,18 +496,13 @@ def rect_prob(
     budget: int = 1 << 16,
     seed: int | np.random.SeedSequence = 0,
 ) -> Estimate:
-    """Estimate Pr(lower_i <= X_i <= upper_i for all i) by randomized QMC.
+    """Pr(lower_i <= X_i <= upper_i for all i); the one place that picks a method.
 
-    The budget is a total sample target split over ``REPLICATES`` independently
-    shifted copies of a rank-1 lattice (point count rounded down to a prime
-    so the fast CBC construction applies; a tent transform periodizes the
-    integrand). Replicate r is shifted by uniforms drawn from the r-th child
-    of `seed` (``_children``, which leaves a ``SeedSequence`` argument
-    unchanged). The integrand is evaluated on blocks of whole replicates of
-    at most ``QMC_BLOCK`` coordinates (n x points) each, and each replicate's
-    value is the mean over its own points. The standard error is the
-    replicate spread divided by sqrt(REPLICATES). Results are reproducible
-    from (seed, budget) alone and independent of the block size.
+    After the input checks (bounds, ``MIN_BUDGET``, seed), a one-factor model
+    (``_one_factor_loadings``) gets the deterministic 1-D integral of
+    ``_one_factor_prob``: method ``one-factor``, stderr ``ORACLE_TOL``, 0
+    samples, seed None, budget and seed unused. Every other model, and a
+    one-factor model whose panel check fails, goes to ``_qmc_rect_prob``.
     """
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
@@ -390,6 +514,29 @@ def rect_prob(
     if budget < MIN_BUDGET:
         raise BudgetTooSmall(f"budget {budget} < {MIN_BUDGET}")
 
+    exact = _one_factor_prob(model, lower, upper)
+    if exact is None:
+        return _qmc_rect_prob(model, lower, upper, budget, seed)
+    _as_seed_sequence(seed)  # unused by the rule, but a bad seed is an error on every path
+    return exact
+
+
+def _qmc_rect_prob(model: CorrelationModel, lower, upper, budget: int, seed) -> Estimate:
+    """Estimate Pr(lower_i <= X_i <= upper_i for all i) by randomized QMC.
+
+    Bounds are checked arrays (see ``rect_prob``). The budget is a total
+    sample target split over ``REPLICATES`` independently
+    shifted copies of a rank-1 lattice (point count rounded down to a prime
+    so the fast CBC construction applies; a tent transform periodizes the
+    integrand). Replicate r is shifted by uniforms drawn from the r-th child
+    of `seed` (``_children``, which leaves a ``SeedSequence`` argument
+    unchanged). The integrand is evaluated on blocks of whole replicates of
+    at most ``QMC_BLOCK`` coordinates (n x points) each, and each replicate's
+    value is the mean over its own points. The standard error is the
+    replicate spread divided by sqrt(REPLICATES). Results are reproducible
+    from (seed, budget) alone and independent of the block size.
+    """
+    n = model.size
     ell, a, b = _conditioning_system(model.sigma, lower, upper)
     plan = _transform_plan(ell)
     m = int(plan[3].sum())
@@ -526,8 +673,6 @@ def _vertex_x1(rows, lower, upper) -> np.ndarray:
     return np.unique(np.concatenate(x1))
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_PANEL_MAX_LEN = 0.5
 _Y_GRID = np.linspace(-QUAD_CLIP, QUAD_CLIP, int(2 * QUAD_CLIP / _PANEL_MAX_LEN) + 1)
 
 
@@ -597,16 +742,7 @@ def _plane_mass(u, lo, hi) -> float:
     on_top = y <= env_hi + slack
     on_bottom = y >= env_lo - slack
     active = np.where(upper_fn[i], on_top, on_bottom) & np.where(upper_fn[j], on_top, on_bottom)
-    edges = np.unique(np.concatenate([[xlo, xhi], x[active]]))
-    # Subdivide long panels so a fixed-order rule stays accurate.
-    widths = np.diff(edges)
-    pieces = np.ceil(widths / _PANEL_MAX_LEN).astype(int)
-    half = np.repeat(0.5 * widths / pieces, pieces)
-    within = np.arange(half.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-    centers = np.repeat(edges[:-1], pieces) + half * (2 * within + 1)
-
-    nodes = (centers[:, None] + half[:, None] * _GL_NODES).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS).ravel()
+    nodes, weights = _gauss_legendre(np.unique(np.concatenate([[xlo, xhi], x[active]])))
     y_hi, y_lo = _envelopes(p_hi, p_lo, q, nodes)
     probs = np.clip(ndtr(y_hi) - ndtr(y_lo), 0.0, None)
     dens = np.exp(-0.5 * nodes * nodes) / math.sqrt(2.0 * math.pi)

@@ -146,9 +146,13 @@ def improved_critical_value(model: CorrelationModel, alpha: float,
     Bisection over [z_(alpha/2), c_classical] on the direct lower confidence
     bound of Pr(all |Y_i| <= c'). No widening is searched: A(a) <= A(0), so
     a widened factor times the marginals can exceed the direct bound only by
-    noise. Every evaluation uses one integer key drawn from ``seed``, hence
-    the same lattice and shifts (common random numbers), so the bound is a
-    fixed function of c' and the bisection does not steer on fresh noise.
+    noise. On a one-factor model (every equicorrelation rho in (0, 1), see
+    ``mvnprob.rect_prob``) the probability is the deterministic one-factor
+    integral, so the bound is that value less ``SIGMAS`` * ``ORACLE_TOL`` and c' lies
+    within the resolution above the exact root. Other models are sampled:
+    every evaluation uses one integer key drawn from ``seed``, hence the same
+    lattice and shifts (common random numbers), so the bound is a fixed
+    function of c' and the bisection does not steer on fresh noise.
     Falls back to the classical value, which always covers; resolution 1e-3.
     """
     _require_standardized(model)

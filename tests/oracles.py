@@ -80,6 +80,29 @@ def _phi_scalar(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
+def one_factor_quad(lam, lower, upper, tol: float = 1e-12) -> float:
+    """Pr(lower_i <= X_i <= upper_i) for X_i = lam_i Z + sqrt(1 - lam_i^2) E_i, |lam_i| < 1.
+
+    Conditioning on the common factor Z = z makes the coordinates independent,
+    so the probability is one adaptive quadrature over z in [-10, 10] of the
+    density times a product of erfc-based interval probabilities, broken at
+    every z where an interval end crosses its conditional mean.
+    """
+    lam = [float(v) for v in lam]
+    sd = [math.sqrt(1.0 - v * v) for v in lam]
+
+    def integrand(z):
+        p = density(z)
+        for v, s, a, b in zip(lam, sd, lower, upper):
+            p *= _phi_scalar((b - v * z) / s) - _phi_scalar((a - v * z) / s)
+        return p
+
+    kinks = sorted({e / v for v, a, b in zip(lam, lower, upper) if v != 0.0
+                    for e in (a, b) if math.isfinite(e) and abs(e / v) < 10.0})
+    val, _ = quad(integrand, -10.0, 10.0, points=kinks or None, epsabs=tol, limit=400)
+    return val
+
+
 def minkowski_vertices_bruteforce(p_vertices, q_vertices) -> np.ndarray:
     """Hull of all pairwise vertex sums, via scipy's Qhull (independent path)."""
     sums = np.array([u + v for u in np.asarray(p_vertices) for v in np.asarray(q_vertices)])

@@ -551,6 +551,15 @@ class TestRogersShephard:
             assert rep.margin >= -1e-9
             assert rep.verdict != VIOLATED
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-6, 1e-7])
+    def test_verdict_does_not_depend_on_units(self, scale):
+        # margin / scale^4 is the same at every scale, and so is the gate.
+        p, q = (Polygon2D.from_points(random_symmetric_polygon(np.random.default_rng(s)).vertices
+                                      * scale) for s in (3, 4))
+        rep = check_rogers_shephard(p, q)
+        assert rep.verdict == SUPPORTED
+        assert abs(rep.margin / scale ** 4 - 178.9328004367) <= 1e-6
+
 
 class TestHullCounterexample:
     def test_reduction_values_at_three(self):

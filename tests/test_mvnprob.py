@@ -1,11 +1,13 @@
 """Normal CDF primitives, the QMC rectangle engine, and the quadrature oracle."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 import oracles
 from gcilab import mvnprob
@@ -17,7 +19,12 @@ from gcilab.errors import (
     InvalidParameters,
     OutOfRange,
 )
-from gcilab.gaussmodel import ThresholdVector, from_covariance, random_correlation
+from gcilab.gaussmodel import (
+    ThresholdVector,
+    equicorrelated,
+    from_covariance,
+    random_correlation,
+)
 from gcilab.ineqlab import check_sidak
 from gcilab.mvnprob import (
     ORACLE_TOL,
@@ -25,31 +32,39 @@ from gcilab.mvnprob import (
     oracle_rect_prob,
     oracle_region_prob,
     rect_prob,
-    std_normal_cdf,
     symmetric_rect_prob,
 )
 from gcilab.sidakcorrect import improved_confidence
 
 
 class TestStdNormalCdf:
+    """``scipy.special.ndtr``, the normal CDF every path uses, against quadrature."""
+
     def test_symmetry_at_zero(self):
-        assert std_normal_cdf(0.0) == 0.5
+        assert ndtr(0.0) == 0.5
 
     def test_exact_at_infinity(self):
-        assert std_normal_cdf(math.inf) == 1.0
-        assert std_normal_cdf(-math.inf) == 0.0
+        assert ndtr(math.inf) == 1.0
+        assert ndtr(-math.inf) == 0.0
 
     def test_against_quadrature(self):
         for x in [-6.0, -2.5, -1.0, -0.3, 0.7, 1.0, 2.0, 4.5]:
-            assert abs(std_normal_cdf(x) - oracles.phi_quad(x)) <= 1e-12
-        assert abs(std_normal_cdf(1.0) - 0.8413447) < 1e-6
+            assert abs(ndtr(x) - oracles.phi_quad(x)) <= 1e-12
+        assert abs(ndtr(1.0) - 0.8413447) < 1e-6
 
     def test_deep_tail_clamped(self):
-        assert std_normal_cdf(-45.0) >= 1e-300
+        # ndtr underflows to 0 here; the QMC kernel clamps at CDF_FLOOR before
+        # ndtri, so an empty deep-tail interval gives 0, not NaN or a warning.
+        assert ndtr(-45.0) == 0.0 and mvnprob.CDF_FLOOR >= 1e-300
+        model = random_correlation(4, 3, 1)
+        lo, hi = np.array([-50.0, -1.0, -1.0, -1.0]), np.array([-45.0, 1.0, 1.0, 1.0])
+        est = mvnprob._qmc_rect_prob(model, lo, hi, 2 ** 10, 0)
+        assert est.value == 0.0 and math.isfinite(est.stderr)
 
     def test_nan_rejected(self):
-        with pytest.raises(OutOfRange):
-            std_normal_cdf(float("nan"))
+        assert math.isnan(ndtr(float("nan")))
+        with pytest.raises(InvalidBounds):
+            rect_prob(from_covariance(np.eye(2)), [float("nan"), -1.0], [1.0, 1.0])
 
 
 class TestInvStdNormalCdf:
@@ -63,7 +78,7 @@ class TestInvStdNormalCdf:
 
     def test_roundtrip(self):
         for p in [1e-8, 0.2, 0.5, 0.77, 1 - 1e-8]:
-            assert abs(std_normal_cdf(inv_std_normal_cdf(p)) - p) <= 1e-10
+            assert abs(ndtr(inv_std_normal_cdf(p)) - p) <= 1e-10
 
     def test_antisymmetry(self):
         for p in [0.01, 0.3, 0.499]:
@@ -390,7 +405,7 @@ class TestOracle:
             rot, _ = np.linalg.qr(rng.standard_normal((d, d)))
             c = rng.uniform(0.3, 2.5, size=d)
             lo = np.where(rng.random(d) < 0.3, -np.inf, -c)
-            expect = math.prod(std_normal_cdf(b) - std_normal_cdf(a) for a, b in zip(lo, c))
+            expect = math.prod(ndtr(b) - ndtr(a) for a, b in zip(lo, c))
             assert abs(oracle_region_prob(rot, lo, c) - expect) <= ORACLE_TOL
 
     @pytest.mark.parametrize("theta", [1e-2, 1e-4, 1e-8])
@@ -400,14 +415,14 @@ class TestOracle:
         rot = np.array([[math.cos(theta), -math.sin(theta)],
                         [math.sin(theta), math.cos(theta)]])
         lo, hi = np.array([-1.4, -np.inf]), np.array([0.9, 2.2])
-        expect = (std_normal_cdf(0.9) - std_normal_cdf(-1.4)) * std_normal_cdf(2.2)
+        expect = (ndtr(0.9) - ndtr(-1.4)) * ndtr(2.2)
         assert abs(oracle_region_prob(rot, lo, hi) - expect) <= 1e-12
 
     def test_one_dimensional_is_exact_cdf_difference(self):
         rows = np.array([[2.0], [-0.5]])
         val = oracle_region_prob(rows, np.array([-1.0, -np.inf]), np.array([3.0, 0.4]))
         # 2y in [-1, 3] and -y/2 <= 0.4 give y in [-0.5, 1.5]
-        assert val == std_normal_cdf(1.5) - std_normal_cdf(-0.5)
+        assert val == ndtr(1.5) - ndtr(-0.5)
 
     def test_region_prob_handles_degenerate_rows(self):
         rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -427,7 +442,7 @@ class TestQmcOracleAgreement:
         lo = -rng.uniform(0.3, 2.5, size=n)
         hi = rng.uniform(0.3, 2.5, size=n)
         lo[rng.random(n) < 0.2] = -np.inf
-        qmc_est = rect_prob(m, lo, hi, budget=2 ** 16, seed=seed)
+        qmc_est = mvnprob._qmc_rect_prob(m, lo, hi, 2 ** 16, seed)
         oracle_est = oracle_rect_prob(m, lo, hi)
         tol = 3 * qmc_est.stderr + 3 * oracle_est.stderr
         assert abs(qmc_est.value - oracle_est.value) <= tol
@@ -439,7 +454,176 @@ class TestQmcOracleAgreement:
             d = int(rng.integers(1, min(n, 3) + 1))
             m = random_correlation(n, d, seed)
             c = rng.uniform(0.4, 2.0, size=n)
-            qmc_est = rect_prob(m, -c, c, budget=2 ** 13, seed=seed)
+            qmc_est = mvnprob._qmc_rect_prob(m, -c, c, 2 ** 13, seed)
             oracle_est = oracle_rect_prob(m, -c, c)
             tol = 3 * qmc_est.stderr + 3 * oracle_est.stderr
             assert abs(qmc_est.value - oracle_est.value) <= tol
+
+
+def _one_factor_model(rng, n, rho, general):
+    """Model with loadings sqrt(rho) (equicorrelation) or uniform on [-rho, rho]."""
+    lam = rng.uniform(-rho, rho, n) if general else np.full(n, math.sqrt(rho))
+    sigma = np.outer(lam, lam)
+    np.fill_diagonal(sigma, 1.0)
+    return from_covariance(sigma)
+
+
+def _one_factor_bounds(rng, n):
+    """Intervals anywhere in [-2.5, 3.5], a fifth unbounded below and a fifth above."""
+    lower = rng.uniform(-2.5, 2.0, n)
+    upper = lower + rng.uniform(0.05, 3.0, n)
+    lower[rng.random(n) < 0.2] = -np.inf
+    upper[rng.random(n) < 0.2] = np.inf
+    return lower, upper
+
+
+def _expected_method(model):
+    independent = np.all(model.sigma[~np.eye(model.size, dtype=bool)] == 0.0)
+    return mvnprob.METHOD_QMC if independent else mvnprob.METHOD_ONE_FACTOR
+
+
+class TestOneFactorRule:
+    """Equicorrelated and rank-one-correlated models get the exact 1-D integral."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), rho=st.floats(-0.999, 0.999))
+    def test_bivariate_against_conditioning_quadrature(self, seed, rho):
+        model = from_covariance([[1.0, rho], [rho, 1.0]])
+        lower, upper = _one_factor_bounds(np.random.default_rng(seed), 2)
+        est = rect_prob(model, lower, upper, budget=2 ** 12, seed=seed)
+        assert est.method == _expected_method(model)
+        assert abs(est.value - oracles.bivariate_rect_quad(rho, lower, upper)) <= 1e-9
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), rho=st.floats(0.0, 0.999), general=st.booleans())
+    def test_trivariate_against_oracle(self, seed, rho, general):
+        rng = np.random.default_rng(seed)
+        model = _one_factor_model(rng, 3, rho, general)
+        lower, upper = _one_factor_bounds(rng, 3)
+        est = rect_prob(model, lower, upper, budget=2 ** 12, seed=seed)
+        assert est.method == _expected_method(model)
+        exact = oracle_region_prob(model.factor_rows, lower, upper)
+        assert abs(est.value - exact) <= 3 * ORACLE_TOL
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 30),
+           rho=st.floats(0.0, 0.999), general=st.booleans())
+    def test_many_coordinates_against_qmc(self, seed, n, rho, general):
+        rng = np.random.default_rng(seed)
+        model = _one_factor_model(rng, n, rho, general)
+        lower, upper = _one_factor_bounds(rng, n)
+        est = rect_prob(model, lower, upper, budget=2 ** 12, seed=seed)
+        assert est.method == _expected_method(model)
+        ref = mvnprob._qmc_rect_prob(model, lower, upper, 2 ** 18, seed)
+        assert abs(est.value - ref.value) <= 4 * ref.stderr + 1e-9
+
+    def test_result_fields(self):
+        est = rect_prob(equicorrelated(6, 0.5), -np.ones(6), np.full(6, 2.0), 4096, 7)
+        assert (est.method, est.stderr, est.samples, est.seed) == ("one-factor", ORACLE_TOL,
+                                                                   0, None)
+        assert est == rect_prob(equicorrelated(6, 0.5), -np.ones(6), np.full(6, 2.0),
+                                1 << 16, 8)
+
+    def test_equicorrelation_shares_one_factor(self):
+        # Exact equicorrelation is recognized before the fit, so every loading
+        # is the same float and equal thresholds collapse to one factor.
+        _, lam = mvnprob._one_factor_loadings(equicorrelated(7, 0.3).sigma)
+        assert np.all(lam == math.sqrt(0.3))
+
+    def test_upper_tail_keeps_relative_precision(self):
+        # Pr(X >= 7) equals Pr(X <= -7) by symmetry; 1 - Phi(7) in floating
+        # point would keep only about four digits of each weakly correlated factor.
+        model = from_covariance([[1.0, 0.06, 0.075], [0.06, 1.0, 0.05], [0.075, 0.05, 1.0]])
+        upper_tail = rect_prob(model, np.full(3, 7.0), np.full(3, np.inf))
+        lower_tail = rect_prob(model, np.full(3, -np.inf), np.full(3, -7.0))
+        assert upper_tail.method == "one-factor" and 0.0 < lower_tail.value < 1e-30
+        assert abs(upper_tail.value - lower_tail.value) <= 1e-12 * lower_tail.value
+
+    def test_input_checks_come_first(self):
+        model = equicorrelated(3, 0.5)
+        with pytest.raises(BudgetTooSmall):
+            rect_prob(model, -np.ones(3), np.ones(3), budget=999)
+        with pytest.raises(InvalidParameters):
+            rect_prob(model, -np.ones(3), np.ones(3), seed=-1)
+
+    def test_failed_panel_check_falls_back_to_qmc(self, monkeypatch):
+        # A 2-node rule per panel is far from converged; halving the panels
+        # moves the sum, so the rule declines and the model is sampled.
+        model, lower, upper = equicorrelated(5, 0.95), -np.ones(5), np.full(5, 1.5)
+        nodes, weights = np.polynomial.legendre.leggauss(2)
+        monkeypatch.setattr(mvnprob, "_GL_NODES", nodes)
+        monkeypatch.setattr(mvnprob, "_GL_WEIGHTS", weights)
+        est = rect_prob(model, lower, upper, budget=4096, seed=2)
+        assert est == mvnprob._qmc_rect_prob(model, lower, upper, 4096, 2)
+
+    def test_qmc_engine_on_equicorrelated_model(self):
+        # The sampling engine's own check against an exact value, now that
+        # rect_prob no longer samples these models.
+        lam = np.full(6, math.sqrt(0.6))
+        lower, upper = np.array([-1.0, -2.0, -np.inf, -0.5, -1.5, 0.2]), np.full(6, 1.7)
+        est = mvnprob._qmc_rect_prob(equicorrelated(6, 0.6), lower, upper, 2 ** 16, 5)
+        assert est.method == "qmc"
+        assert abs(est.value - oracles.one_factor_quad(lam, lower, upper)) <= \
+            3 * est.stderr + 1e-9
+
+    def test_steep_model_is_no_slower_than_qmc(self):
+        # At rho = 0.999 the factors switch over 0.045 in z; graded panels keep
+        # the rule's cost bounded there.
+        def best_time(call, repeat):
+            times = []
+            for _ in range(repeat):
+                t0 = time.perf_counter()
+                call()
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        model = equicorrelated(12, 0.999)
+        rng = np.random.default_rng(12)
+        for lower, upper in [(-np.full(12, 2.5), np.full(12, 2.5)), _one_factor_bounds(rng, 12)]:
+            assert rect_prob(model, lower, upper, 2 ** 14, 1).method == "one-factor"
+            rule_s = best_time(lambda: rect_prob(model, lower, upper, 2 ** 14, 1), 5)
+            qmc_s = best_time(lambda: mvnprob._qmc_rect_prob(model, lower, upper, 2 ** 14, 1), 3)
+            assert rule_s <= qmc_s
+
+
+def _stays_on_qmc_cases():
+    lam = np.array([0.8, 0.6, 0.5, 0.7])
+    one_factor = np.outer(lam, lam)
+    np.fill_diagonal(one_factor, 1.0)
+    factor_copy = np.outer([1.0, 1.0, 0.6, 0.5], [1.0, 1.0, 0.6, 0.5])
+    np.fill_diagonal(factor_copy, 1.0)  # X_0 = X_1 = Z: off-diagonal rank one, lam_0 = 1
+    zero_variance = one_factor.copy()
+    zero_variance[2, :] = zero_variance[:, 2] = 0.0
+    cases = {"negative equicorrelation": equicorrelated(4, -0.2),
+             "rho = 1": equicorrelated(4, 1.0),
+             "duplicated coordinate": from_covariance(factor_copy),
+             "duplicate of a loaded coordinate": from_covariance(
+                 one_factor[np.ix_([0, 0, 1, 2], [0, 0, 1, 2])]),
+             "zero variance": from_covariance(zero_variance)}
+    for d in (2, 3, 4):
+        for seed in (1, 2):
+            cases[f"random n = 4, d = {d}, seed {seed}"] = random_correlation(4, d, seed)
+    return cases
+
+
+class TestOneFactorEligibility:
+    """Models without a real one-factor form stay on QMC, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_stays_on_qmc_cases()))
+    def test_stays_on_qmc(self, name):
+        model = _stays_on_qmc_cases()[name]
+        lower, upper = np.array([-1.0, -0.5, -2.0, -np.inf]), np.array([1.2, 1.5, 0.8, 1.0])
+        est = rect_prob(model, lower, upper, budget=4096, seed=3)
+        assert mvnprob._one_factor_loadings(model.sigma) is None
+        assert est.method == "qmc"
+        assert est == mvnprob._qmc_rect_prob(model, lower, upper, 4096, 3)
+
+    def test_scaled_one_factor_model_is_eligible(self):
+        # Standardization rounds, so the rank-one fit, not exact equality, decides.
+        d = np.array([1e-3, 2.0, 7.0, 1e4])
+        model = from_covariance(d[:, None] * equicorrelated(4, 0.3).sigma * d[None, :])
+        sd, lam = mvnprob._one_factor_loadings(model.sigma)
+        assert np.allclose(sd, d, rtol=1e-14) and np.allclose(lam, math.sqrt(0.3), rtol=1e-12)
+        est = rect_prob(model, -d, 2 * d, budget=4096, seed=0)
+        expect = oracles.one_factor_quad(lam, -np.ones(4), np.full(4, 2.0))
+        assert est.method == "one-factor" and abs(est.value - expect) <= 1e-9

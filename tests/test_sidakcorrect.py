@@ -13,6 +13,7 @@ from gcilab.ineqlab import sidak_ratio
 from gcilab.gaussmodel import ThresholdVector
 from gcilab.mvnprob import oracle_region_prob
 from gcilab.sidakcorrect import (
+    BISECTION_RESOLUTION,
     correction_table,
     improved_confidence,
     improved_critical_value,
@@ -158,3 +159,20 @@ class TestImprovedCriticalValue:
                             0.5, sidak_critical_value(alpha, k) + 1.0, xtol=1e-10)
             assert coverage(cv) >= 1.0 - alpha
             assert cv - c_star <= 5e-3
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1])
+    @pytest.mark.parametrize("rho", [0.1, 0.5, 0.8])
+    @pytest.mark.parametrize("k", [4, 8, 12])
+    def test_equicorrelated_inversion_against_one_factor_oracle(self, k, rho, alpha):
+        # Equicorrelated models take the exact one-factor rule, so c' is the
+        # bisection's upper end above the exact root c* and always covers.
+        lam = np.full(k, math.sqrt(rho))
+
+        def coverage(c):
+            return oracles.one_factor_quad(lam, np.full(k, -c), np.full(k, c))
+
+        cv = improved_critical_value(equicorrelated(k, rho), alpha, budget=2 ** 13, seed=k)
+        c_star = brentq(lambda c: coverage(c) - (1.0 - alpha),
+                        0.5, sidak_critical_value(alpha, k) + 1.0, xtol=1e-10)
+        assert c_star <= cv <= c_star + 2 * BISECTION_RESOLUTION
+        assert coverage(cv) >= 1.0 - alpha
