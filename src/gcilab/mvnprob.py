@@ -17,10 +17,10 @@ Replicated randomizations supply a standard error. Infinite bounds are exact
 (the CDF is evaluated symbolically at +-inf, never truncated), and
 rank-deficient covariances are handled without regularization.
 
-A deterministic quadrature oracle covers factor dimension d <= 3 and is the
-independent cross-check for the sampling engine: one planar Gauss-Legendre
-layer integrates d <= 2 regions, and adaptive quadrature over the first
-factor integrates those layers for d = 3.
+A deterministic oracle covers factor dimension d <= 3 and is the independent
+cross-check for the sampling engine: a planar region's mass is a sum of Owen's
+T values over the edges an angle-sorted half-plane sweep finds, exact to
+rounding, and adaptive quadrature over the first factor integrates such layers.
 
 ``scipy.integrate`` is imported inside the d = 3 oracle branch, the one place
 that uses it: it pulls in ``scipy.optimize``, which together with it is most of
@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.fft import fft, ifft
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr, ndtri, owens_t
 
 from .errors import (
     BudgetTooSmall,
@@ -46,7 +47,7 @@ from .errors import (
     InvalidParameters,
     OutOfRange,
 )
-from .gaussmodel import GRAM_TOL, PIVOT_TOL, CorrelationModel, ThresholdVector
+from .gaussmodel import GRAM_TOL, PIVOT_TOL, CorrelationModel, ThresholdVector, _require_finite
 
 ORACLE_TOL = 1e-7        # absolute tolerance of the quadrature oracle
 CDF_FLOOR = 1e-300       # lower clamp for deep-tail CDF values
@@ -56,9 +57,12 @@ QUAD_CLIP = 9.0          # |x| > 9 carries mass < 2e-19, below every tolerance
 DEGENERATE_SLACK = 1e-9  # membership slack for rank-deficient coordinates
 ZERO_COEF = 1e-13
 QMC_BLOCK = 1 << 17      # coordinates (n x points) per kernel call: 1 MB per array
-ORACLE_BLOCK = 1 << 21   # entries per (constraint x point) array in the oracle: 16 MB
+ORACLE_BLOCK = 1 << 21   # entries per (vertex x row) array of the d = 3 vertex search: 16 MB
+PLANE_BOX = 40.0         # planar regions are cut to |y|_inf <= 40: the mass outside is < 1e-300
+LINE_TOL = 1e-12         # sine below which two boundary lines of a planar region are parallel
 SIGMAS = 3.0             # verdict and confidence-bound width, in standard errors
 REPLICATES = 12          # independently shifted lattice copies behind every QMC stderr
+_BOX = np.column_stack([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0], np.full(4, PLANE_BOX)])
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)  # per quadrature panel
 _PANEL_MAX_LEN = 0.5     # longest quadrature panel, in standard deviations
 
@@ -489,6 +493,17 @@ def _one_factor_prob(model: CorrelationModel, lower, upper) -> Estimate | None:
     return Estimate(min(max(value, 0.0), 1.0), ORACLE_TOL, 0, METHOD_ONE_FACTOR, None)
 
 
+def _checked_bounds(lower, upper, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds as float arrays of shape (n,), no NaN and lower_i <= upper_i."""
+    lower = np.atleast_1d(np.asarray(lower, dtype=float))
+    upper = np.atleast_1d(np.asarray(upper, dtype=float))
+    if lower.shape != (n,) or upper.shape != (n,):
+        raise DimensionMismatch(f"need {n} lower and {n} upper bounds, one per row")
+    if not np.all(lower <= upper):  # also false for a NaN bound
+        raise InvalidBounds("need lower_i <= upper_i for all i")
+    return lower, upper
+
+
 def rect_prob(
     model: CorrelationModel,
     lower,
@@ -504,13 +519,7 @@ def rect_prob(
     samples, seed None, budget and seed unused. Every other model, and a
     one-factor model whose panel check fails, goes to ``_qmc_rect_prob``.
     """
-    lower = np.atleast_1d(np.asarray(lower, dtype=float))
-    upper = np.atleast_1d(np.asarray(upper, dtype=float))
-    n = model.size
-    if lower.shape != (n,) or upper.shape != (n,):
-        raise DimensionMismatch("bounds must match the model size")
-    if np.any(np.isnan(lower)) or np.any(np.isnan(upper)) or np.any(lower > upper):
-        raise InvalidBounds("need lower_i <= upper_i for all i")
+    lower, upper = _checked_bounds(lower, upper, model.size)
     if budget < MIN_BUDGET:
         raise BudgetTooSmall(f"budget {budget} < {MIN_BUDGET}")
 
@@ -593,39 +602,35 @@ def _interval_from_constraints(coefs, res_lo, res_hi):
     return lo, hi
 
 
-def _phi_density(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
 def oracle_region_prob(rows, lower, upper) -> float:
     """Standard Gaussian mass of {y in R^d : lower <= rows @ y <= upper}, d <= 3.
 
-    Deterministic quadrature built on one planar rule, ``_plane_mass``: for
-    d <= 2 the region is a single planar layer (rows zero-padded to width 2),
-    and d = 1 reduces to an exact CDF difference. For d = 3 adaptive
-    quadrature to ``ORACLE_TOL`` over y_1, clipped to |y_1| <= 9 (truncation
-    far below ``ORACLE_TOL``) and broken at the first coordinates of the
-    region's vertices, integrates the planar layers at fixed y_1.
+    d = 1 is an exact CDF difference and d = 2 the exact planar rule
+    ``_plane_mass``. For d = 3 adaptive quadrature to ``ORACLE_TOL`` over y_1,
+    clipped to |y_1| <= 9 and broken at the vertices' first coordinates,
+    integrates planar layers. Rows must be finite (``NotFinite``), with one
+    bound pair each (``DimensionMismatch``), none NaN (``InvalidBounds``).
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
     d = rows.shape[1]
     if d > 3:
         raise DimensionTooLarge("quadrature oracle supports d <= 3")
-    if np.any(lower > upper):
-        raise InvalidBounds("need lower_i <= upper_i")
+    _require_finite(rows, "constraint rows")
+    lower, upper = _checked_bounds(lower, upper, rows.shape[0])
 
-    # Constraints with an all-zero row are pure feasibility conditions.
+    # All-zero rows are pure feasibility conditions; no point meets +inf below or -inf above.
     zero = np.all(np.abs(rows) <= ZERO_COEF, axis=1)
-    if np.any((lower[zero] > 0) | (upper[zero] < 0)):
+    if np.any(np.where(zero, (lower > 0) | (upper < 0), np.isposinf(lower) | np.isneginf(upper))):
         return 0.0
     rows, lower, upper = rows[~zero], lower[~zero], upper[~zero]
     if rows.shape[0] == 0:
         return 1.0
 
-    if d <= 2:
-        value = _plane_mass(np.hstack([rows, np.zeros((rows.shape[0], 2 - d))]), lower, upper)
+    if d == 1:
+        lo, hi = _interval_from_constraints(rows[:, 0], lower, upper)
+        value = ndtr(hi) - ndtr(lo)
+    elif d == 2:
+        value = _plane_mass(rows, lower, upper)
     else:
         from scipy.integrate import quad
 
@@ -637,7 +642,8 @@ def oracle_region_prob(rows, lower, upper) -> float:
         u, lo, hi = rows[~pure], lower[~pure], upper[~pure]
 
         def layer(x1):
-            return _phi_density(x1) * _plane_mass(u[:, 1:], lo - u[:, 0] * x1, hi - u[:, 0] * x1)
+            density = math.exp(-0.5 * x1 * x1) / math.sqrt(2.0 * math.pi)
+            return density * _plane_mass(u[:, 1:], lo - u[:, 0] * x1, hi - u[:, 0] * x1)
 
         kinks = _vertex_x1(rows, lower, upper)
         kinks = kinks[(kinks > x1lo) & (kinks < x1hi)]
@@ -673,91 +679,84 @@ def _vertex_x1(rows, lower, upper) -> np.ndarray:
     return np.unique(np.concatenate(x1))
 
 
-_Y_GRID = np.linspace(-QUAD_CLIP, QUAD_CLIP, int(2 * QUAD_CLIP / _PANEL_MAX_LEN) + 1)
+def _turn(q, p) -> float:
+    """Sine of the angle from q's normal to p's."""
+    return q[0] * p[1] - q[1] * p[0]
 
 
-def _envelopes(p_hi, p_lo, q, x):
-    """min_i (p_hi_i + q_i x) and max_i (p_lo_i + q_i x) at every x.
+def _step(p, q) -> float:
+    """Position along p = (n_x, n_y, b), |n| = 1, from its foot b n, where q's line crosses."""
+    return (q[2] - p[2] * (p[0] * q[0] + p[1] * q[1])) / _turn(p, q)
 
-    Evaluated in column blocks of about ``ORACLE_BLOCK`` entries, so memory
-    stays bounded for many constraints; each column is its own exact min or
-    max, so the values do not depend on the block size.
+
+def _cuts(p, a, b) -> bool:
+    """Whether half-plane p cuts off the crossing of a and b, ties within LINE_TOL along b."""
+    margin = a[2] * (a[0] * p[0] + a[1] * p[1]) + _step(a, b) * _turn(a, p) - p[2]
+    return margin > LINE_TOL * abs(_turn(b, p))
+
+
+def _halfplane_sweep(lines) -> list:
+    """Counter-clockwise boundary lines of the half-planes n . y <= b, or [] if no polygon.
+
+    `lines` are (n_x, n_y, b), |n| = 1, sorted by normal angle, one per angle,
+    bounding box included. Each drops lines at the back, then the front, of the
+    deque whose crossing it cuts off; of two parallel lines the tighter stays,
+    and a turn by pi or more between neighbours leaves nothing.
     """
-    y_hi, y_lo = np.empty(x.size), np.empty(x.size)
-    step = max(1, ORACLE_BLOCK // q.size)
-    for s in range(0, x.size, step):
-        qx = q[:, None] * x[s:s + step]
-        y_hi[s:s + step] = np.min(p_hi[:, None] + qx, axis=0)
-        y_lo[s:s + step] = np.max(p_lo[:, None] + qx, axis=0)
-    return y_hi, y_lo
+    hull = deque()
+    for p in lines:
+        while len(hull) > 1 and _cuts(p, hull[-2], hull[-1]):
+            hull.pop()
+        while len(hull) > 1 and _cuts(p, hull[1], hull[0]):
+            hull.popleft()
+        if hull and _turn(hull[-1], p) <= LINE_TOL:  # parallel, or turning by pi or more
+            if _turn(hull[-1], p) < -LINE_TOL or hull[-1][0] * p[0] + hull[-1][1] * p[1] < 0.0:
+                return []
+            if p[2] >= hull[-1][2]:
+                continue
+            hull.pop()
+        hull.append(p)
+    while len(hull) > 2 and _cuts(hull[0], hull[-2], hull[-1]):
+        hull.pop()
+    while len(hull) > 2 and _cuts(hull[-1], hull[1], hull[0]):
+        hull.popleft()
+    return list(hull) if len(hull) > 2 else []
 
 
 def _plane_mass(u, lo, hi) -> float:
-    """Standard Gaussian mass of {(x, y) : lo <= u @ (x, y) <= hi}.
+    """Standard Gaussian mass of {y in R^2 : lo <= u @ y <= hi}; rows nonzero, lo < inf, hi > -inf.
 
-    Rows with no y loading bound x, clipped to |x| <= 9. The others bound the
-    slice at x between envelopes of affine functions of x, so the integrand
-    phi(x) * Pr(y in slice(x)) is analytic between the kinks of those
-    envelopes; 16-node Gauss-Legendre panels between kinks, at most
-    ``_PANEL_MAX_LEN`` wide in x and in every active bound, give near machine
-    precision.
+    The finite bounds and the box |y|_inf <= ``PLANE_BOX`` meet in a convex
+    polygon, found by ``_halfplane_sweep`` in O(m log m). Its mass sums over
+    the counter-clockwise edges, on lines at signed distance h, sign(h)
+    [M(s_b) - M(s_a)] with M(s) = sign(s) [arctan(|s| / |h|) / 2 pi - T(|h|,
+    |s| / |h|)], the mass of the triangle from 0 to the foot of the
+    perpendicular and the point s from it; T is Owen's T (Owen 1956). Empty
+    regions, segments and points give 0.
     """
-    flat = np.abs(u[:, 1]) <= ZERO_COEF
-    xlo, xhi = _interval_from_constraints(u[flat, 0], lo[flat], hi[flat])
-    xlo, xhi = max(xlo, -QUAD_CLIP), min(xhi, QUAD_CLIP)
-    if xhi <= xlo:
+    scale = np.hypot(u[:, 0], u[:, 1])[:, None]
+    up, down = np.isfinite(hi), np.isfinite(lo)
+    # + 0.0 clears -0.0, whose normal would sort to angle -pi, away from the box's +pi
+    half = np.vstack([np.column_stack([u, hi])[up] / scale[up],
+                      np.column_stack([-u, -lo])[down] / scale[down], _BOX]) + 0.0
+    angle = np.arctan2(half[:, 1], half[:, 0])
+    order = np.lexsort((half[:, 2], angle))
+    hull = _halfplane_sweep(half[order[np.unique(angle[order], return_index=True)[1]]].tolist())
+    if not hull:
         return 0.0
-    u, lo, hi = u[~flat], lo[~flat], hi[~flat]
-    if u.shape[0] == 0:
-        return float(ndtr(xhi) - ndtr(xlo))
-    pos = u[:, 1] > 0
-    q = -u[:, 0] / u[:, 1]
-    p_hi = np.where(pos, hi, lo) / u[:, 1]
-    p_lo = np.where(pos, lo, hi) / u[:, 1]
-
-    # Panel boundaries: kinks of the envelopes, i.e. pairwise crossings of the
-    # finite bound functions where both lie on their envelope, and, for a
-    # bound steeper than 1 (it moves faster in y than in x), the points on its
-    # envelope stretch where it crosses the y grid, so no panel moves an active
-    # bound by more than _PANEL_MAX_LEN while |y| <= 9 (beyond, its CDF is flat).
-    p_all, q_all = np.concatenate([p_hi, p_lo]), np.concatenate([q, q])
-    upper_fn = np.arange(p_all.size) < q.size
-    idx = np.flatnonzero(np.isfinite(p_all))
-    i, j = np.triu_indices(idx.size, 1)
-    i, j = idx[i], idx[j]
-    cross = np.abs(q_all[i] - q_all[j]) > ZERO_COEF
-    i, j = i[cross], j[cross]
-    steep = idx[np.abs(q_all[idx]) > 1.0]
-    x = np.concatenate([(p_all[j] - p_all[i]) / (q_all[i] - q_all[j]),
-                        ((_Y_GRID - p_all[steep, None]) / q_all[steep, None]).ravel()])
-    i = np.concatenate([i, np.repeat(steep, _Y_GRID.size)])
-    j = np.concatenate([j, np.repeat(steep, _Y_GRID.size)])
-    keep = (x > xlo) & (x < xhi)
-    x, i, j = x[keep], i[keep], j[keep]
-    y = p_all[i] + q_all[i] * x
-    # rounding of p + q x grows with |p| and |q x|, which are large for steep bounds
-    slack = DEGENERATE_SLACK * (1.0 + np.abs(p_all[i]) + np.abs(q_all[i] * x)
-                                + np.abs(p_all[j]) + np.abs(q_all[j] * x))
-    env_hi, env_lo = _envelopes(p_hi, p_lo, q, x)
-    on_top = y <= env_hi + slack
-    on_bottom = y >= env_lo - slack
-    active = np.where(upper_fn[i], on_top, on_bottom) & np.where(upper_fn[j], on_top, on_bottom)
-    nodes, weights = _gauss_legendre(np.unique(np.concatenate([[xlo, xhi], x[active]])))
-    y_hi, y_lo = _envelopes(p_hi, p_lo, q, nodes)
-    probs = np.clip(ndtr(y_hi) - ndtr(y_lo), 0.0, None)
-    dens = np.exp(-0.5 * nodes * nodes) / math.sqrt(2.0 * math.pi)
-    return float(np.sum(weights * probs * dens))
+    lines = np.array(hull)
+    along = np.column_stack([-lines[:, 1], lines[:, 0]])
+    ends = np.array([_step(p, q) for p, q in zip(hull, hull[1:] + hull[:1])])
+    # both edges at a corner share one point, so rounding along near-parallel lines cancels
+    corners = lines[:, :2] * lines[:, 2:] + ends[:, None] * along
+    s = np.stack([np.sum(along * np.roll(corners, 1, axis=0), axis=1), ends])
+    live = np.abs(lines[:, 2]) > 1e-300  # nearer lines bound no mass, and |s| / h would overflow
+    h, s = np.abs(lines[live, 2]), s[:, live]
+    m = np.sign(s) * (np.arctan(np.abs(s) / h) / (2.0 * math.pi) - owens_t(h, np.abs(s) / h))
+    return float(np.sum(np.sign(lines[live, 2]) * (m[1] - m[0])))
 
 
 def oracle_rect_prob(model: CorrelationModel, lower, upper) -> Estimate:
     """Deterministic rectangle probability for models of factor dimension <= 3."""
-    if model.dim > 3:
-        raise DimensionTooLarge(f"oracle supports d <= 3, model has d={model.dim}")
-    lower = np.atleast_1d(np.asarray(lower, dtype=float))
-    upper = np.atleast_1d(np.asarray(upper, dtype=float))
-    if lower.shape != (model.size,) or upper.shape != (model.size,):
-        raise DimensionMismatch("bounds must match the model size")
-    if np.any(lower > upper):
-        raise InvalidBounds("need lower_i <= upper_i")
     value = oracle_region_prob(model.factor_rows, lower, upper)
     return Estimate(value, ORACLE_TOL, 0, METHOD_ORACLE, None)

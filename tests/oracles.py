@@ -119,6 +119,21 @@ def support_bruteforce(vertices, direction) -> float:
     return float(np.max(np.asarray(vertices) @ np.asarray(direction)))
 
 
+def polygon_vertices_bruteforce(normals, offsets) -> np.ndarray:
+    """Vertices of {x : normals @ x <= offsets}: every feasible crossing of two edge lines."""
+    normals = np.asarray(normals, dtype=float)
+    offsets = np.asarray(offsets, dtype=float)
+    vertices = []
+    for i, j in itertools.combinations(range(len(offsets)), 2):
+        mat = normals[[i, j]]
+        if abs(np.linalg.det(mat)) < 1e-12:
+            continue
+        x = np.linalg.solve(mat, offsets[[i, j]])
+        if np.all(normals @ x <= offsets + 1e-9):
+            vertices.append(x)
+    return np.array(vertices)
+
+
 def planar_measure_polar(normals, offsets) -> float:
     """gamma_2 of the polygon {x : normals @ x <= offsets}, origin in its interior.
 
@@ -131,14 +146,7 @@ def planar_measure_polar(normals, offsets) -> float:
     """
     normals = np.asarray(normals, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
-    vertices = []
-    for i, j in itertools.combinations(range(len(offsets)), 2):
-        mat = normals[[i, j]]
-        if abs(np.linalg.det(mat)) < 1e-12:
-            continue
-        x = np.linalg.solve(mat, offsets[[i, j]])
-        if np.all(normals @ x <= offsets + 1e-9):
-            vertices.append(x)
+    vertices = polygon_vertices_bruteforce(normals, offsets)
     angles = np.unique(np.round(np.mod([math.atan2(y, x) for x, y in vertices],
                                        2.0 * math.pi), 12))
     bounds = np.append(angles, angles[0] + 2.0 * math.pi)
