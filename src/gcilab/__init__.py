@@ -21,7 +21,6 @@ from .convexgeom import (
     polygon_minkowski_sum,
     random_symmetric_polygon,
     random_unconditional_hpolytope,
-    support_function,
 )
 from .errors import GciLabError
 from .gaussmodel import (
@@ -58,13 +57,11 @@ from .measure import (
     gauss_measure_band,
     gauss_measure_mc,
     minkowski_measure_mc,
-    product_band,
 )
 from .mvnprob import (
     Estimate,
     ProbabilityEstimate,
     inv_std_normal_cdf,
-    oracle_rect_prob,
     oracle_region_prob,
     rect_prob,
     symmetric_rect_prob,

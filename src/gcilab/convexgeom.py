@@ -33,7 +33,6 @@ from .errors import (
     ModelMismatch,
     NotSymmetric,
     SolverFailure,
-    ZeroDirection,
 )
 from .gaussmodel import CorrelationModel, ThresholdVector, _read_csv_rows, _require_finite
 
@@ -490,14 +489,6 @@ def random_unconditional_hpolytope(rng, dim: int = 2, extra: int = 2) -> HPolyto
 # ---------------------------------------------------------------------------
 # Shared operations
 # ---------------------------------------------------------------------------
-
-def support_function(body, direction) -> float:
-    """sup over the body of <x, direction>; +inf for unbounded bands."""
-    u = np.asarray(direction, dtype=float)
-    if np.linalg.norm(u) <= GEOM_TOL:
-        raise ZeroDirection("support direction must be nonzero")
-    return body.support(u)
-
 
 def contains(body, point) -> bool:
     """Membership with tolerance 1e-12 on every constraint."""

@@ -49,10 +49,6 @@ class DegenerateInput(GciLabError):
     """Geometric input collapses (too few vertices, unbounded polytope)."""
 
 
-class ZeroDirection(GciLabError):
-    """Support function queried along the zero vector."""
-
-
 class DimensionMismatch(GciLabError):
     """Point or body dimensions are incompatible."""
 

@@ -177,9 +177,10 @@ def json_safe(obj):
 def _measure(body, budget: int, seed) -> Estimate:
     """Gaussian measure of one body term: the single body-to-estimator dispatch.
 
-    Bands go to the QMC rectangle engine, a Minkowski-sum pair ``(K, T)`` to
-    Monte Carlo with sum membership, polygons and H-polytopes of dimension
-    <= 2 to the deterministic quadrature oracle (budget and seed unused), and
+    Bands go to ``mvnprob.rect_prob``, which measures rank <= 2 bands with the
+    planar oracle, a Minkowski-sum pair ``(K, T)`` to Monte Carlo with sum
+    membership, polygons and H-polytopes of dimension <= 2 straight to the
+    same oracle on their facet rows (budget and seed unused), and
     higher-dimensional H-polytopes to Monte Carlo membership.
     """
     if isinstance(body, SymmetricBand):
@@ -716,7 +717,8 @@ def search_counterexample(family: str, steps: int, budget: int = 1 << 14,
     deterministic function of the parameters. ``steps`` caps objective
     evaluations per restart; ``steps == 1`` just scores the canonical
     instance. Always returns the best instance found. The planar families
-    ``hull-rectangles`` and ``rotated-boxes`` are exact, so their keys do nothing.
+    ``hull-rectangles`` and ``rotated-boxes`` are exact, so their keys do nothing;
+    ``band-triples`` measures its rank-2 bands exactly too, so its key only picks the model.
     """
     if family not in SEARCH_FAMILIES:
         raise InvalidParameters(f"unknown family {family!r}")

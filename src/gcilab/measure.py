@@ -1,12 +1,12 @@
 """Gaussian measure of convex bodies.
 
-Band bodies reduce exactly to rectangle probabilities of their model, so the
-QMC engine carries them in any dimension. H-polytopes get Monte Carlo
-membership estimates (``ineqlab._measure`` uses them for d >= 3 only; planar
-bodies go to the quadrature oracle), and so does a Minkowski sum K + T:
-through its exact facet form for 1 <= d <= 4, else point by point. 2-D bodies
-additionally expose the fiber measure f(s), the Gaussian mass of the vertical
-slice at s, used by the slab-lifting arguments.
+Band bodies reduce exactly to rectangle probabilities of their model, so
+``rect_prob`` carries them in any dimension (exactly for rank <= 2).
+H-polytopes get Monte Carlo membership estimates (``ineqlab._measure`` uses
+them for d >= 3 only; planar bodies go to the quadrature oracle), and so does
+a Minkowski sum K + T: through its exact facet form for 1 <= d <= 4, else
+point by point. 2-D bodies additionally expose the fiber measure f(s), the
+Gaussian mass of the vertical slice at s, used by the slab-lifting arguments.
 """
 
 from __future__ import annotations
@@ -138,10 +138,3 @@ def fiber_measure(body, s: float) -> Estimate:
         return Estimate(0.0, FIBER_TOL, 0, METHOD_ORACLE, None)
     value = float(ndtr(interval[1]) - ndtr(interval[0]))
     return Estimate(value, FIBER_TOL, 0, METHOD_ORACLE, None)
-
-
-def product_band(band: SymmetricBand, copies: int) -> SymmetricBand:
-    """N-fold product body K^N as a band over the block-diagonal model."""
-    from .gaussmodel import product_model
-
-    return SymmetricBand(product_model(band.model, copies), band.c.tiled(copies))

@@ -1,11 +1,12 @@
 """Univariate normal primitives and multivariate rectangle probabilities.
 
-``rect_prob`` picks the method for Pr(a_i <= X_i <= b_i for all i) of a
-centered Gaussian vector. One-factor models, whose correlations are
-lam_i lam_j off the diagonal with |lam_i| < 1 (equicorrelation rho in (0, 1),
-every n = 2 model with 0 < |rho| < 1), get one deterministic 1-D integral over
-the common factor on graded Gauss-Legendre panels, accepted when the panels
-and the panels halved agree within ORACLE_TOL / 10. Every other model, and a
+``rect_prob`` is the one function that picks the method for Pr(a_i <= X_i <=
+b_i for all i) of a centered Gaussian vector. A model of factor dimension
+d <= 2 gets the exact planar oracle on its factor rows. One-factor models,
+whose correlations are lam_i lam_j off the diagonal with |lam_i| < 1
+(equicorrelation rho in (0, 1)), get one deterministic 1-D integral over the
+common factor on graded Gauss-Legendre panels, accepted when the panels and
+the panels halved agree within ORACLE_TOL / 10. Every other model, and a
 one-factor model that fails that check, goes to the sampling engine.
 
 The sampling engine (``_qmc_rect_prob``) conditions sequentially through a
@@ -17,10 +18,11 @@ Replicated randomizations supply a standard error. Infinite bounds are exact
 (the CDF is evaluated symbolically at +-inf, never truncated), and
 rank-deficient covariances are handled without regularization.
 
-A deterministic oracle covers factor dimension d <= 3 and is the independent
-cross-check for the sampling engine: a planar region's mass is a sum of Owen's
-T values over the edges an angle-sorted half-plane sweep finds, exact to
-rounding, and adaptive quadrature over the first factor integrates such layers.
+The deterministic oracle ``oracle_region_prob`` covers factor dimension d <= 3
+and is the independent cross-check for the sampling engine at d = 3: a planar
+region's mass is a sum of Owen's T values over the edges an angle-sorted
+half-plane sweep finds, exact to rounding, and adaptive quadrature over the
+first factor integrates such layers.
 
 ``scipy.integrate`` is imported inside the d = 3 oracle branch, the one place
 that uses it: it pulls in ``scipy.optimize``, which together with it is most of
@@ -55,7 +57,7 @@ MIN_BUDGET = 1000
 QMC_STDERR_FLOOR = 1e-15  # accumulated representation rounding of the estimate
 QUAD_CLIP = 9.0          # |x| > 9 carries mass < 2e-19, below every tolerance
 DEGENERATE_SLACK = 1e-9  # membership slack for rank-deficient coordinates
-ZERO_COEF = 1e-13
+ZERO_COEF = 1e-13        # loadings of the conditioning factor, on the correlation scale
 QMC_BLOCK = 1 << 17      # coordinates (n x points) per kernel call: 1 MB per array
 ORACLE_BLOCK = 1 << 21   # entries per (vertex x row) array of the d = 3 vertex search: 16 MB
 PLANE_BOX = 40.0         # planar regions are cut to |y|_inf <= 40: the mass outside is < 1e-300
@@ -370,7 +372,8 @@ def _one_factor_loadings(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray] | N
     sqrt(rho)). Otherwise the largest off-diagonal entry C_jk = lam_j lam_k
     and the other rows, which give the ratio lam_j / lam_k by least squares,
     fix lam_j, and lam_i = C_ij / lam_j; the fit must reproduce C within
-    ``GRAM_TOL``, so n = 2 with 0 < |rho| < 1 always qualifies. Everything
+    ``GRAM_TOL``, so n = 2 with 0 < |rho| < 1 always qualifies, though
+    ``rect_prob`` sends such models to the planar oracle first. Everything
     is judged on the correlation scale, as the sampling engine does, so the
     answer does not depend on units; a residual variance 1 - lam_i^2 at or
     below ``PIVOT_TOL`` counts as exact dependence. Such models, zero
@@ -513,21 +516,25 @@ def rect_prob(
 ) -> Estimate:
     """Pr(lower_i <= X_i <= upper_i for all i); the one place that picks a method.
 
-    After the input checks (bounds, ``MIN_BUDGET``, seed), a one-factor model
-    (``_one_factor_loadings``) gets the deterministic 1-D integral of
-    ``_one_factor_prob``: method ``one-factor``, stderr ``ORACLE_TOL``, 0
-    samples, seed None, budget and seed unused. Every other model, and a
-    one-factor model whose panel check fails, goes to ``_qmc_rect_prob``.
+    The input checks (bounds, ``MIN_BUDGET``, seed) come first, on every
+    path. A model of factor dimension d <= 2 then gets the exact planar
+    oracle ``oracle_region_prob`` on its factor rows, and a one-factor model
+    (``_one_factor_loadings``) the deterministic 1-D integral of
+    ``_one_factor_prob``; both report stderr ``ORACLE_TOL``, 0 samples and
+    seed None, under method ``quadrature-oracle`` or ``one-factor``, and use
+    neither budget nor seed. Every other model, and a one-factor model whose
+    panel check fails, goes to ``_qmc_rect_prob``.
     """
     lower, upper = _checked_bounds(lower, upper, model.size)
     if budget < MIN_BUDGET:
         raise BudgetTooSmall(f"budget {budget} < {MIN_BUDGET}")
+    _as_seed_sequence(seed)  # a bad seed is an error even where no sample is drawn
 
+    if model.dim <= 2:
+        value = oracle_region_prob(model.factor_rows, lower, upper)
+        return Estimate(value, ORACLE_TOL, 0, METHOD_ORACLE, None)
     exact = _one_factor_prob(model, lower, upper)
-    if exact is None:
-        return _qmc_rect_prob(model, lower, upper, budget, seed)
-    _as_seed_sequence(seed)  # unused by the rule, but a bad seed is an error on every path
-    return exact
+    return _qmc_rect_prob(model, lower, upper, budget, seed) if exact is None else exact
 
 
 def _qmc_rect_prob(model: CorrelationModel, lower, upper, budget: int, seed) -> Estimate:
@@ -590,7 +597,7 @@ def _interval_from_constraints(coefs, res_lo, res_hi):
     """Solve res_lo_i <= coefs_i * t <= res_hi_i for t; returns (lo, hi)."""
     lo, hi = -np.inf, np.inf
     for c, a, b in zip(coefs, res_lo, res_hi):
-        if abs(c) <= ZERO_COEF:
+        if c == 0.0:
             if a > 0 or b < 0:
                 return 1.0, 0.0
         elif c > 0:
@@ -618,8 +625,9 @@ def oracle_region_prob(rows, lower, upper) -> float:
     _require_finite(rows, "constraint rows")
     lower, upper = _checked_bounds(lower, upper, rows.shape[0])
 
-    # All-zero rows are pure feasibility conditions; no point meets +inf below or -inf above.
-    zero = np.all(np.abs(rows) <= ZERO_COEF, axis=1)
+    # Exactly zero rows are pure feasibility conditions; a row of any other size
+    # is a constraint, whatever the units. No point meets +inf below or -inf above.
+    zero = np.all(rows == 0.0, axis=1)
     if np.any(np.where(zero, (lower > 0) | (upper < 0), np.isposinf(lower) | np.isneginf(upper))):
         return 0.0
     rows, lower, upper = rows[~zero], lower[~zero], upper[~zero]
@@ -634,7 +642,7 @@ def oracle_region_prob(rows, lower, upper) -> float:
     else:
         from scipy.integrate import quad
 
-        pure = np.all(np.abs(rows[:, 1:]) <= ZERO_COEF, axis=1)
+        pure = np.all(rows[:, 1:] == 0.0, axis=1)
         x1lo, x1hi = _interval_from_constraints(rows[pure, 0], lower[pure], upper[pure])
         x1lo, x1hi = max(x1lo, -QUAD_CLIP), min(x1hi, QUAD_CLIP)
         if x1hi <= x1lo:
@@ -754,9 +762,3 @@ def _plane_mass(u, lo, hi) -> float:
     h, s = np.abs(lines[live, 2]), s[:, live]
     m = np.sign(s) * (np.arctan(np.abs(s) / h) / (2.0 * math.pi) - owens_t(h, np.abs(s) / h))
     return float(np.sum(np.sign(lines[live, 2]) * (m[1] - m[0])))
-
-
-def oracle_rect_prob(model: CorrelationModel, lower, upper) -> Estimate:
-    """Deterministic rectangle probability for models of factor dimension <= 3."""
-    value = oracle_region_prob(model.factor_rows, lower, upper)
-    return Estimate(value, ORACLE_TOL, 0, METHOD_ORACLE, None)

@@ -27,7 +27,6 @@ from gcilab.convexgeom import (
     polytope_vertices,
     random_symmetric_polygon,
     random_unconditional_hpolytope,
-    support_function,
 )
 from gcilab.errors import (
     DegenerateInput,
@@ -36,7 +35,6 @@ from gcilab.errors import (
     ModelMismatch,
     NotFinite,
     NotSymmetric,
-    ZeroDirection,
 )
 from gcilab.gaussmodel import ThresholdVector, from_covariance, random_correlation
 
@@ -180,17 +178,13 @@ class TestHullUnion:
 class TestSupportAndContains:
     def test_unit_square_axis(self):
         sq = Polygon2D.box(1.0, 1.0)
-        assert support_function(sq, [1, 0]) == 1.0
-
-    def test_zero_direction_rejected(self):
-        with pytest.raises(ZeroDirection):
-            support_function(Polygon2D.box(1, 1), [0, 0])
+        assert sq.support([1, 0]) == 1.0
 
     def test_band_single_constraint_support(self):
         model = from_covariance([[1.0]])
         band = SymmetricBand(model, ThresholdVector([1.0]))
         # {y : |y| <= 1} in R^1 along its own normal.
-        assert abs(support_function(band, [1.0]) - 1.0) <= 1e-9
+        assert abs(band.support([1.0]) - 1.0) <= 1e-9
 
     def test_band_support_matches_direct_maximization(self):
         model = random_correlation(3, 2, 6)
@@ -199,7 +193,7 @@ class TestSupportAndContains:
         pts = rng.standard_normal((200_000, 2)) * 1.5
         inside = pts[band.contains_many(pts)]
         for u in ([1.0, 0.0], [0.3, -0.9], [0.7, 0.7]):
-            lp = support_function(band, u)
+            lp = band.support(u)
             sampled = float(np.max(inside @ np.asarray(u)))
             assert sampled <= lp + 1e-6
             assert lp - sampled <= 0.05
@@ -209,7 +203,7 @@ class TestSupportAndContains:
         band = _band(model, [1.0, np.inf])
         u = model.factor_rows[1] - model.factor_rows[0] * (
             model.factor_rows[0] @ model.factor_rows[1])
-        assert math.isinf(support_function(band, u))
+        assert math.isinf(band.support(u))
 
     def test_partly_thresholded_band_support_is_infinite(self):
         # HiGHS presolve reported many of these unbounded LPs as infeasible.
@@ -219,7 +213,7 @@ class TestSupportAndContains:
             idx = rng.choice(4, size=1 + seed % 2, replace=False)
             c[idx] = rng.uniform(0.5, 2.0, size=idx.size)
             band = SymmetricBand(random_correlation(4, 3, seed), ThresholdVector(c))
-            assert math.isinf(support_function(band, rng.standard_normal(3)))
+            assert math.isinf(band.support(rng.standard_normal(3)))
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_hpolytope_support_matches_vertices(self, dim):
@@ -229,7 +223,7 @@ class TestSupportAndContains:
             verts = _vertices_bruteforce(body)
             for u in rng.standard_normal((5, dim)):
                 expect = oracles.support_bruteforce(verts, u)
-                assert abs(support_function(body, u) - expect) <= 1e-9
+                assert abs(body.support(u) - expect) <= 1e-9
 
     def test_origin_inside_everything(self):
         p = random_symmetric_polygon(3)

@@ -18,7 +18,12 @@ from gcilab.convexgeom import (
     random_unconditional_hpolytope,
 )
 from gcilab.errors import DimensionMismatch, InvalidParameters, NotUnconditional
-from gcilab.gaussmodel import ThresholdVector, from_covariance, random_correlation
+from gcilab.gaussmodel import (
+    CorrelationModel,
+    ThresholdVector,
+    from_covariance,
+    random_correlation,
+)
 from gcilab.ineqlab import (
     _FAMILY_SETUP,
     EXPLORATORY,
@@ -86,6 +91,8 @@ class TestVerdicts:
         # Measurements are the same type and keep their provenance.
         est = symmetric_rect_prob(RANK1_2, ONES2, budget=2 ** 12, seed=5)
         assert ProbabilityEstimate is Estimate and isinstance(est, Estimate)
+        assert (est.method, est.samples, est.seed) == ("quadrature-oracle", 0, None)
+        est = symmetric_rect_prob(random_correlation(3, 3, 1), ONES3, budget=2 ** 12, seed=5)
         assert (est.method, est.seed) == ("qmc", 5)
 
 
@@ -285,13 +292,29 @@ class TestPlanarDispatch:
         for box in (Polygon2D.box(hx, hy), HPolytope.axis_box([hx, hy])):
             assert abs(_measure(box, 0, 0).value - expect) <= 1e-10
 
+    def test_polygons_match_their_rank_two_bands(self):
+        # A symmetric polygon is the band {|a_i . y| <= b_i} over one edge normal
+        # a_i per +- pair, so both routes reach the same planar oracle.
+        rng = np.random.default_rng(35)
+        for _ in range(5):
+            p = random_symmetric_polygon(rng, points=int(rng.integers(2, 7)))
+            normals, offsets = p.edge_normals()
+            half = len(offsets) // 2
+            assert np.allclose(normals[half:], -normals[:half], atol=1e-12)
+            model = CorrelationModel(sigma=normals[:half] @ normals[:half].T,
+                                     factor_rows=normals[:half])
+            band = symmetric_rect_prob(model, ThresholdVector(offsets[:half]), 4096, 1)
+            assert abs(band.value - _measure(p, 0, 0).value) <= 1e-12
+
     def test_method_tags(self):
         rng = np.random.default_rng(33)
         k2, t2 = (random_unconditional_hpolytope(rng, dim=2) for _ in range(2))
         k3 = random_unconditional_hpolytope(rng, dim=3)
         band = SymmetricBand(random_correlation(3, 2, 1), ONES3)
+        band3 = SymmetricBand(random_correlation(4, 3, 1), ThresholdVector.constant(4, 1.0))
         cases = [(random_symmetric_polygon(rng), "quadrature-oracle"),
-                 (k2, "quadrature-oracle"), (k3, "mc"), ((k2, t2), "mc"), (band, "qmc")]
+                 (k2, "quadrature-oracle"), (k3, "mc"), ((k2, t2), "mc"),
+                 (band, "quadrature-oracle"), (band3, "qmc")]
         for body, method in cases:
             est = _measure(body, 10_000, 4)
             assert est.method == method

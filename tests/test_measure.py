@@ -15,13 +15,12 @@ from gcilab.convexgeom import (
     random_unconditional_hpolytope,
 )
 from gcilab.errors import BudgetTooSmall, DimensionMismatch
-from gcilab.gaussmodel import ThresholdVector, from_covariance, random_correlation
+from gcilab.gaussmodel import ThresholdVector, from_covariance, product_model, random_correlation
 from gcilab.measure import (
     fiber_measure,
     gauss_measure_band,
     gauss_measure_mc,
     minkowski_measure_mc,
-    product_band,
 )
 from gcilab.mvnprob import oracle_region_prob
 
@@ -212,7 +211,7 @@ class TestProductTensorization:
             model = random_correlation(2, 2, 13)
             band = SymmetricBand(model, ThresholdVector([1.0, 1.4]))
             base = gauss_measure_band(band, budget=2 ** 13, seed=1)
-            big = product_band(band, copies)
+            big = SymmetricBand(product_model(model, copies), band.c.tiled(copies))
             prod = gauss_measure_band(big, budget=2 ** 13, seed=2)
             se = math.sqrt(prod.stderr ** 2
                            + (copies * base.value ** (copies - 1) * base.stderr) ** 2)

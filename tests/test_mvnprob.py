@@ -32,7 +32,6 @@ from gcilab.ineqlab import check_sidak
 from gcilab.mvnprob import (
     ORACLE_TOL,
     inv_std_normal_cdf,
-    oracle_rect_prob,
     oracle_region_prob,
     rect_prob,
     symmetric_rect_prob,
@@ -192,6 +191,40 @@ class TestRectProb:
             assert est.stderr <= 1e-4
 
 
+class TestDispatch:
+    """rect_prob checks its input, then picks the oracle (d <= 2), the one-factor rule or QMC."""
+
+    @pytest.mark.parametrize("model", [from_covariance(np.zeros((3, 3))), equicorrelated(4, 1.0),
+                                       random_correlation(5, 2, 6)],
+                             ids=["rank 0", "rank 1", "rank 2"])
+    def test_rank_two_or_less_goes_to_the_oracle(self, model):
+        lower, upper = -np.linspace(0.5, 1.5, model.size), np.linspace(1.0, 2.0, model.size)
+        est = rect_prob(model, lower, upper, budget=4096, seed=3)
+        assert model.dim <= 2
+        assert (est.method, est.stderr, est.samples, est.seed) == \
+            ("quadrature-oracle", ORACLE_TOL, 0, None)
+        assert est.value == oracle_region_prob(model.factor_rows, lower, upper)
+
+    def test_input_checks_come_before_the_oracle(self):
+        model, lower, upper = random_correlation(3, 2, 1), -np.ones(3), np.ones(3)
+        with pytest.raises(BudgetTooSmall):
+            rect_prob(model, lower, upper, budget=999)
+        with pytest.raises(InvalidBounds):
+            rect_prob(model, [np.nan, -1.0, -1.0], upper)
+        with pytest.raises(InvalidParameters):
+            rect_prob(model, lower, upper, seed=-1)
+
+    @pytest.mark.parametrize("scale", [1e-15, 1e100])
+    def test_rank_two_does_not_depend_on_units(self, scale):
+        model = random_correlation(3, 2, 4)
+        lower, upper = np.array([-1.0, -0.5, -np.inf]), np.array([1.2, 1.5, 0.8])
+        base = rect_prob(model, lower, upper)
+        scaled = rect_prob(from_covariance(model.sigma * scale * scale), lower * scale,
+                           upper * scale)
+        assert scaled.method == base.method == "quadrature-oracle"
+        assert abs(scaled.value - base.value) <= 1e-12
+
+
 def _random_rectangle(seed):
     """A model of rank d <= n <= 6 and bounds, some infinite, drawn from one seed.
 
@@ -220,7 +253,11 @@ def _random_rectangle(seed):
 
 
 class TestRectProbInvariance:
-    """At a fixed seed, rect_prob is invariant under relabelling and rescaling coordinates."""
+    """At a fixed seed, rect_prob is invariant under relabelling and rescaling coordinates.
+
+    The drawn models reach all three methods: rank <= 2 the oracle, the rest
+    the one-factor rule or QMC.
+    """
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -257,10 +294,10 @@ class TestReplicateBlocks:
                  (random_correlation(12, 4, 4), -np.full(12, 1.5), np.full(12, 1.5), 1 << 14),
                  (random_correlation(6, 6, 5), -np.full(6, 0.9), np.full(6, 1.3), 1 << 16)]
 
-        def estimates():
+        def estimates():  # the QMC kernel itself: rect_prob sends the rank-2 cases to the oracle
             return [(e.value, e.stderr, e.samples) for e in
-                    (rect_prob(m, lo, hi, budget, seed=k) for k, (m, lo, hi, budget)
-                     in enumerate(cases))]
+                    (mvnprob._qmc_rect_prob(m, np.asarray(lo), np.asarray(hi), budget, k)
+                     for k, (m, lo, hi, budget) in enumerate(cases))]
 
         default = estimates()
         monkeypatch.setattr(mvnprob, "QMC_BLOCK", 1)
@@ -341,7 +378,7 @@ class TestSymmetricRectProb:
 class TestOracle:
     def test_one_dimensional_values(self):
         m = from_covariance(np.eye(1))
-        est = oracle_rect_prob(m, [-3.0], [3.0])
+        est = rect_prob(m, [-3.0], [3.0])
         assert abs(est.value - oracles.sym_prob_quad(3.0)) <= 1e-7
         assert abs(est.value - 0.9973002) < 1e-6
 
@@ -349,39 +386,39 @@ class TestOracle:
         # Half-width (N + 1/N)/sqrt(2) at N = 3.
         half = (3 + 1 / 3) / math.sqrt(2)
         m = from_covariance(np.eye(1))
-        est = oracle_rect_prob(m, [-half], [half])
+        est = rect_prob(m, [-half], [half])
         assert abs(est.value - oracles.sym_prob_quad(half)) <= 1e-7
         assert abs(est.value - 0.9813) < 1e-3
 
     def test_product_factorization(self):
         m = from_covariance(np.eye(2))
-        est = oracle_rect_prob(m, [-1, -1], [1, 1])
+        est = rect_prob(m, [-1, -1], [1, 1])
         assert abs(est.value - oracles.sym_prob_quad(1.0) ** 2) <= 1e-7
 
     def test_method_tag_and_stderr(self):
         m = from_covariance(np.eye(1))
-        est = oracle_rect_prob(m, [-1], [1])
+        est = rect_prob(m, [-1], [1])
         assert est.method == "quadrature-oracle"
         assert est.stderr == 1e-7
 
     def test_dimension_cap(self):
         m = random_correlation(4, 4, 0)
         with pytest.raises(DimensionTooLarge):
-            oracle_rect_prob(m, np.full(4, -1.0), np.full(4, 1.0))
+            oracle_region_prob(m.factor_rows, np.full(4, -1.0), np.full(4, 1.0))
 
     def test_bivariate_against_conditioning_quadrature(self):
         for rho in [-0.7, 0.0, 0.3, 0.9]:
             m = from_covariance([[1, rho], [rho, 1]])
-            est = oracle_rect_prob(m, [-1.0, -0.5], [0.8, 1.5])
+            est = rect_prob(m, [-1.0, -0.5], [0.8, 1.5])
             expect = oracles.bivariate_rect_quad(rho, [-1.0, -0.5], [0.8, 1.5])
             assert abs(est.value - expect) <= 2e-7
 
     def test_three_dimensional_product(self):
         m = from_covariance(np.eye(3))
-        est = oracle_rect_prob(m, [-1, -0.5, -2], [1, 0.5, 2])
+        value = oracle_region_prob(m.factor_rows, [-1, -0.5, -2], [1, 0.5, 2])
         expect = (oracles.sym_prob_quad(1.0) * oracles.sym_prob_quad(0.5)
                   * oracles.sym_prob_quad(2.0))
-        assert abs(est.value - expect) <= 1e-7
+        assert abs(value - expect) <= 1e-7
 
     @pytest.mark.parametrize("n", [20, 40])
     def test_large_rank_two_bands(self, n):
@@ -389,8 +426,8 @@ class TestOracle:
         # accepts (it raises ValueError past its subinterval limit).
         m = random_correlation(n, 2, 900 + n)
         c = np.random.default_rng(n).uniform(0.8, 3.0, size=n)
-        oracle_est = oracle_rect_prob(m, -c, c)
-        qmc_est = rect_prob(m, -c, c, budget=2 ** 16, seed=n)
+        oracle_est = rect_prob(m, -c, c)
+        qmc_est = mvnprob._qmc_rect_prob(m, -c, c, 2 ** 16, n)
         assert abs(oracle_est.value - qmc_est.value) <= 3 * qmc_est.stderr + ORACLE_TOL
 
     def test_three_dimensional_vertex_kinks(self):
@@ -400,7 +437,7 @@ class TestOracle:
         lo = np.array([-2.39928877, -1.80025343, -0.75676462])
         hi = np.array([1.5050067, 2.33846238, 2.0380234])
         qmc_est = rect_prob(m, lo, hi, budget=2 ** 16, seed=208)
-        assert abs(oracle_rect_prob(m, lo, hi).value - qmc_est.value) <= \
+        assert abs(oracle_region_prob(m.factor_rows, lo, hi) - qmc_est.value) <= \
             3 * qmc_est.stderr + ORACLE_TOL
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -442,7 +479,7 @@ class TestOracleInputChecks:
 
     @pytest.mark.parametrize("call", [
         lambda lo, hi: oracle_region_prob(np.eye(2), lo, hi),
-        lambda lo, hi: oracle_rect_prob(from_covariance(np.eye(2)), lo, hi)])
+        lambda lo, hi: rect_prob(from_covariance(np.eye(2)), lo, hi)])
     def test_bad_bounds(self, call):
         with pytest.raises(InvalidBounds):
             call([np.nan, -1.0], [1.0, 1.0])
@@ -460,6 +497,16 @@ class TestOracleInputChecks:
         rows = np.eye(3)[:, :2]  # the third row is zero
         assert oracle_region_prob(rows, [np.inf, -1.0, -1.0], [np.inf, 1.0, 1.0]) == 0.0
         assert oracle_region_prob(rows, [-1.0, -1.0, -np.inf], [1.0, 1.0, -np.inf]) == 0.0
+
+    def test_only_exactly_zero_rows_are_feasibility_conditions(self):
+        # {1e-15 <= 1e-14 y <= 1} is y in [0.1, 1e14]: a small row is a constraint.
+        assert abs(oracle_region_prob([[1e-14]], [1e-15], [1.0]) - 0.4601721627) <= 1e-10
+        # In d = 3 a row is along the first axis only if its other entries are exactly 0.
+        rows = np.array([[1e-12, 1e-14, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        value = oracle_region_prob(rows, [0.0, -1.0, -1.0], [1e-12, 1.0, 1.0])
+        expect = (oracle_region_prob([[1.0, 0.01], [0.0, 1.0]], [0.0, -1.0], [1.0, 1.0])
+                  * (ndtr(1.0) - ndtr(-1.0)))
+        assert abs(value - expect) <= ORACLE_TOL
 
 
 def _polygon_around_origin(rng):
@@ -523,9 +570,8 @@ class TestQmcOracleAgreement:
         hi = rng.uniform(0.3, 2.5, size=n)
         lo[rng.random(n) < 0.2] = -np.inf
         qmc_est = mvnprob._qmc_rect_prob(m, lo, hi, 2 ** 16, seed)
-        oracle_est = oracle_rect_prob(m, lo, hi)
-        tol = 3 * qmc_est.stderr + 3 * oracle_est.stderr
-        assert abs(qmc_est.value - oracle_est.value) <= tol
+        exact = oracle_region_prob(m.factor_rows, lo, hi)
+        assert abs(qmc_est.value - exact) <= 3 * qmc_est.stderr + 3 * ORACLE_TOL
 
     def test_sweep(self):
         rng = np.random.default_rng(0)
@@ -535,9 +581,8 @@ class TestQmcOracleAgreement:
             m = random_correlation(n, d, seed)
             c = rng.uniform(0.4, 2.0, size=n)
             qmc_est = mvnprob._qmc_rect_prob(m, -c, c, 2 ** 13, seed)
-            oracle_est = oracle_rect_prob(m, -c, c)
-            tol = 3 * qmc_est.stderr + 3 * oracle_est.stderr
-            assert abs(qmc_est.value - oracle_est.value) <= tol
+            exact = oracle_region_prob(m.factor_rows, -c, c)
+            assert abs(qmc_est.value - exact) <= 3 * qmc_est.stderr + 3 * ORACLE_TOL
 
 
 def _one_factor_model(rng, n, rho, general):
@@ -568,11 +613,15 @@ class TestOneFactorRule:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rho=st.floats(-0.999, 0.999))
     def test_bivariate_against_conditioning_quadrature(self, seed, rho):
+        # rect_prob sends n = 2 to the planar oracle, so the rule is called directly.
         model = from_covariance([[1.0, rho], [rho, 1.0]])
         lower, upper = _one_factor_bounds(np.random.default_rng(seed), 2)
-        est = rect_prob(model, lower, upper, budget=2 ** 12, seed=seed)
-        assert est.method == _expected_method(model)
-        assert abs(est.value - oracles.bivariate_rect_quad(rho, lower, upper)) <= 1e-9
+        est = mvnprob._one_factor_prob(model, lower, upper)
+        if _expected_method(model) == mvnprob.METHOD_QMC:
+            assert est is None  # independent coordinates: the product path's case
+        else:
+            assert est.method == mvnprob.METHOD_ONE_FACTOR
+            assert abs(est.value - oracles.bivariate_rect_quad(rho, lower, upper)) <= 1e-9
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rho=st.floats(0.0, 0.999), general=st.booleans())
@@ -687,7 +736,7 @@ def _stays_on_qmc_cases():
 
 
 class TestOneFactorEligibility:
-    """Models without a real one-factor form stay on QMC, bit for bit."""
+    """Models without a real one-factor form go to the oracle (d <= 2) or to QMC, bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(_stays_on_qmc_cases()))
     def test_stays_on_qmc(self, name):
@@ -695,8 +744,12 @@ class TestOneFactorEligibility:
         lower, upper = np.array([-1.0, -0.5, -2.0, -np.inf]), np.array([1.2, 1.5, 0.8, 1.0])
         est = rect_prob(model, lower, upper, budget=4096, seed=3)
         assert mvnprob._one_factor_loadings(model.sigma) is None
-        assert est.method == "qmc"
-        assert est == mvnprob._qmc_rect_prob(model, lower, upper, 4096, 3)
+        if model.dim <= 2:
+            exact = oracle_region_prob(model.factor_rows, lower, upper)
+            assert est == mvnprob.Estimate(exact, ORACLE_TOL, 0, "quadrature-oracle", None)
+        else:
+            assert est.method == "qmc"
+            assert est == mvnprob._qmc_rect_prob(model, lower, upper, 4096, 3)
 
     def test_scaled_one_factor_model_is_eligible(self):
         # Standardization rounds, so the rank-one fit, not exact equality, decides.
