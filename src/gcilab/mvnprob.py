@@ -1,13 +1,14 @@
 """Univariate normal primitives and multivariate rectangle probabilities.
 
 ``rect_prob`` is the one function that picks the method for Pr(a_i <= X_i <=
-b_i for all i) of a centered Gaussian vector. A model of factor dimension
-d <= 2 gets the exact planar oracle on its factor rows. One-factor models,
-whose correlations are lam_i lam_j off the diagonal with |lam_i| < 1
-(equicorrelation rho in (0, 1)), get one deterministic 1-D integral over the
-common factor on graded Gauss-Legendre panels, accepted when the panels and
-the panels halved agree within ORACLE_TOL / 10. Every other model, and a
-one-factor model that fails that check, goes to the sampling engine.
+b_i for all i) of a centered Gaussian vector. A model of rank d <= 2 on the
+correlation scale gets the exact planar oracle on its standardized factor
+rows. One-factor models, whose correlations are lam_i lam_j off the diagonal
+with |lam_i| < 1 (equicorrelation rho in (0, 1)), get one deterministic 1-D
+integral over the common factor on graded Gauss-Legendre panels, accepted
+when the panels and the panels halved agree within ORACLE_TOL / 10. Every
+other model, and a one-factor model that fails that check, goes to the
+sampling engine.
 
 The sampling engine (``_qmc_rect_prob``) conditions sequentially through a
 greedily ordered semidefinite Cholesky factorization: each coordinate is
@@ -47,9 +48,11 @@ from .errors import (
     DimensionTooLarge,
     InvalidBounds,
     InvalidParameters,
+    NotPSD,
     OutOfRange,
 )
-from .gaussmodel import GRAM_TOL, PIVOT_TOL, CorrelationModel, ThresholdVector, _require_finite
+from .gaussmodel import (GRAM_TOL, PIVOT_TOL, CorrelationModel, ThresholdVector,
+                         _pivoted_cholesky, _require_finite)
 
 ORACLE_TOL = 1e-7        # absolute tolerance of the quadrature oracle
 CDF_FLOOR = 1e-300       # lower clamp for deep-tail CDF values
@@ -507,6 +510,26 @@ def _checked_bounds(lower, upper, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
+def _planar_system(model: CorrelationModel, lower, upper):
+    """Correlation-scale factor rows and bounds if the model has rank <= 2 there, else None.
+
+    Judged there, as the sampling engine judges dependence, route and value do
+    not depend on units; ``factor_rows`` take rank relative to the largest
+    variance and drop a small coordinate's row. Zero variances get zero rows.
+    """
+    if model.dim > 2:
+        return None
+    pos = model.variances > 0.0
+    sd = np.sqrt(np.where(pos, model.variances, 1.0))
+    corr = np.where(np.outer(pos, pos), model.sigma / np.outer(sd, sd), 0.0)
+    np.fill_diagonal(corr, pos)
+    try:
+        rows = _pivoted_cholesky(0.5 * (corr + corr.T), PIVOT_TOL)
+    except NotPSD:  # PSD only within the tolerance of the largest variance
+        return None
+    return (rows, lower / sd, upper / sd) if rows.shape[1] <= 2 else None
+
+
 def rect_prob(
     model: CorrelationModel,
     lower,
@@ -517,22 +540,22 @@ def rect_prob(
     """Pr(lower_i <= X_i <= upper_i for all i); the one place that picks a method.
 
     The input checks (bounds, ``MIN_BUDGET``, seed) come first, on every
-    path. A model of factor dimension d <= 2 then gets the exact planar
-    oracle ``oracle_region_prob`` on its factor rows, and a one-factor model
-    (``_one_factor_loadings``) the deterministic 1-D integral of
-    ``_one_factor_prob``; both report stderr ``ORACLE_TOL``, 0 samples and
-    seed None, under method ``quadrature-oracle`` or ``one-factor``, and use
-    neither budget nor seed. Every other model, and a one-factor model whose
-    panel check fails, goes to ``_qmc_rect_prob``.
+    path. A model of rank d <= 2 on the correlation scale (``_planar_system``)
+    then gets the exact planar oracle ``oracle_region_prob``, and a
+    one-factor model the deterministic 1-D integral of ``_one_factor_prob``;
+    both report stderr ``ORACLE_TOL``, 0 samples and seed None, under method
+    ``quadrature-oracle`` or ``one-factor``, and use neither budget nor seed.
+    Every other model, and a one-factor model whose panel check fails, goes
+    to ``_qmc_rect_prob``.
     """
     lower, upper = _checked_bounds(lower, upper, model.size)
     if budget < MIN_BUDGET:
         raise BudgetTooSmall(f"budget {budget} < {MIN_BUDGET}")
     _as_seed_sequence(seed)  # a bad seed is an error even where no sample is drawn
 
-    if model.dim <= 2:
-        value = oracle_region_prob(model.factor_rows, lower, upper)
-        return Estimate(value, ORACLE_TOL, 0, METHOD_ORACLE, None)
+    planar = _planar_system(model, lower, upper)
+    if planar is not None:
+        return Estimate(oracle_region_prob(*planar), ORACLE_TOL, 0, METHOD_ORACLE, None)
     exact = _one_factor_prob(model, lower, upper)
     return _qmc_rect_prob(model, lower, upper, budget, seed) if exact is None else exact
 

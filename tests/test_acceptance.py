@@ -39,7 +39,7 @@ from gcilab.ineqlab import (
     tensorize_check,
 )
 from gcilab.measure import fiber_measure
-from gcilab.mvnprob import ORACLE_TOL, oracle_region_prob, rect_prob
+from gcilab.mvnprob import ORACLE_TOL, _qmc_rect_prob, oracle_region_prob
 from gcilab.sidakcorrect import (
     improved_confidence,
     improved_critical_value,
@@ -61,7 +61,8 @@ def test_criterion_01_mvn_engine_accuracy():
         d = int(rng.integers(1, min(n, 3) + 1))
         model = random_correlation(n, d, 5_100 + k)
         c = rng.uniform(0.4, 2.2, size=n)
-        est = rect_prob(model, -c, c, budget=1 << 16, seed=k)
+        # The sampling engine itself: rect_prob would send d <= 2 to the oracle.
+        est = _qmc_rect_prob(model, -c, c, 1 << 16, k)
         orc = oracle_region_prob(model.factor_rows, -c, c)
         gap = abs(est.value - orc)
         tol = 3.0 * math.hypot(est.stderr, ORACLE_TOL)

@@ -203,7 +203,8 @@ class TestDispatch:
         assert model.dim <= 2
         assert (est.method, est.stderr, est.samples, est.seed) == \
             ("quadrature-oracle", ORACLE_TOL, 0, None)
-        assert est.value == oracle_region_prob(model.factor_rows, lower, upper)
+        # The oracle runs on refactorized correlation-scale rows, equal up to rounding.
+        assert abs(est.value - oracle_region_prob(model.factor_rows, lower, upper)) <= 1e-12
 
     def test_input_checks_come_before_the_oracle(self):
         model, lower, upper = random_correlation(3, 2, 1), -np.ones(3), np.ones(3)
@@ -223,6 +224,34 @@ class TestDispatch:
                            upper * scale)
         assert scaled.method == base.method == "quadrature-oracle"
         assert abs(scaled.value - base.value) <= 1e-12
+
+    def test_variances_far_apart_keep_every_row(self):
+        # Pivoted Cholesky relative to the largest variance gives this model
+        # rank 1 and a zero row for X_1; on the correlation scale it has rank 2.
+        model = from_covariance([[1.0, 0.0], [0.0, 1e-12]])
+        est = rect_prob(model, [-1.0, -1e-6], [1.0, 1e-6])
+        assert est.method == "quadrature-oracle"
+        assert abs(est.value - (ndtr(1.0) - ndtr(-1.0)) ** 2) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_coordinates_scaled_by_different_factors(self, seed):
+        rng = np.random.default_rng(seed)
+        model = random_correlation(5, 2, 40 + seed)
+        lower, upper = -rng.uniform(0.2, 2.0, 5), rng.uniform(0.2, 2.0, 5)
+        base = rect_prob(model, lower, upper)
+        d = 10.0 ** rng.choice([-8.0, 0.0, 8.0], 5)
+        scaled = rect_prob(from_covariance(d[:, None] * model.sigma * d[None, :]),
+                           d * lower, d * upper)
+        assert scaled.method == base.method == "quadrature-oracle"
+        assert abs(scaled.value - base.value) <= 1e-12
+
+    def test_standardized_rank_three_goes_to_qmc(self):
+        # Rank 2 relative to the largest variance, rank 3 on the correlation scale.
+        model = from_covariance(np.diag([1.0, 1.0, 1e-12]))
+        lower, upper = -np.array([1.0, 0.5, 1e-6]), np.array([1.0, 0.5, 1e-6])
+        est = rect_prob(model, lower, upper, budget=4096, seed=2)
+        assert model.dim == 2
+        assert est == mvnprob._qmc_rect_prob(model, lower, upper, 4096, 2)
 
 
 def _random_rectangle(seed):
@@ -746,7 +775,9 @@ class TestOneFactorEligibility:
         assert mvnprob._one_factor_loadings(model.sigma) is None
         if model.dim <= 2:
             exact = oracle_region_prob(model.factor_rows, lower, upper)
-            assert est == mvnprob.Estimate(exact, ORACLE_TOL, 0, "quadrature-oracle", None)
+            assert (est.method, est.stderr, est.samples, est.seed) == \
+                ("quadrature-oracle", ORACLE_TOL, 0, None)
+            assert abs(est.value - exact) <= 1e-12
         else:
             assert est.method == "qmc"
             assert est == mvnprob._qmc_rect_prob(model, lower, upper, 4096, 3)
