@@ -3,8 +3,9 @@
 A joint Gaussian vector (X_1, ..., X_n) with covariance matrix sigma is
 carried around together with factor rows u_1, ..., u_n in R^d satisfying
 <u_i, u_j> = sigma_ij, so that X_i = <Y, u_i> for a standard Gaussian Y
-in R^d. Degenerate covariances are first class: d is the numerical rank
-detected by pivoted Cholesky, and d <= n always.
+in R^d. Degenerate covariances are first class: d is the numerical rank of
+the correlation matrix, detected by pivoted Cholesky, so it does not depend on
+units, and d <= n always. Zero-variance coordinates have zero rows.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .errors import (
     NotSymmetric,
 )
 
-# Tolerances relative to the largest |sigma_ii| (see ``_scale``), so rank and
-# acceptance do not depend on the units of the covariance.
+# Symmetry is judged relative to the largest |sigma_ii| (see ``_scale``), rank
+# and the Gram check on the correlation scale, so none depends on units.
 SYMMETRY_TOL = 1e-10
 PIVOT_TOL = 1e-10
 GRAM_TOL = 1e-10
@@ -72,8 +73,10 @@ class CorrelationModel:
             raise InvalidDimension("one factor row per variable is required")
         if rows.shape[1] > n:
             raise InvalidDimension("factor dimension d must satisfy d <= n")
-        gram = rows @ rows.T
-        if np.max(np.abs(gram - sigma)) > 10 * GRAM_TOL * scale:
+        # Relative to sd_i sd_j for positive variances, to the largest one otherwise.
+        sd = np.sqrt(np.clip(np.diag(sigma), 0.0, None))
+        pair = np.outer(sd, sd)
+        if np.any(np.abs(rows @ rows.T - sigma) > 10 * GRAM_TOL * np.where(pair > 0, pair, scale)):
             raise GciLabError("factor rows do not reproduce sigma")
 
     @property
@@ -122,7 +125,7 @@ def _pivoted_cholesky(a: np.ndarray, tol: float) -> np.ndarray:
         piv = resid[j]
         if piv <= tol:
             if np.min(resid[~done]) < -tol:
-                raise NotPSD("pivot below -1e-10 max|sigma_ii|; matrix is not PSD")
+                raise NotPSD("pivot below -1e-10 on the correlation scale; matrix is not PSD")
             break
         ell[j, k] = np.sqrt(piv)
         rest = ~done & (np.arange(n) != j)
@@ -140,9 +143,11 @@ def _pivoted_cholesky(a: np.ndarray, tol: float) -> np.ndarray:
 def from_covariance(matrix) -> CorrelationModel:
     """Build a model from a symmetric PSD matrix via pivoted Cholesky.
 
-    Rank is detected at pivot tolerance 1e-10 max|sigma_ii|, so rank-deficient
-    covariances yield factor rows in a strictly lower-dimensional space
-    whatever their units. NaN or infinite entries raise ``NotFinite``.
+    The correlation matrix of the positive-variance coordinates is factored
+    at pivot tolerance ``PIVOT_TOL`` and each row scaled back by its sd, so
+    rank and rows do not depend on units. Zero-variance coordinates get rows
+    that are exactly zero; one with a covariance, or a variance below -1e-10
+    max|sigma_ii|, raises ``NotPSD``. NaN or infinite entries raise ``NotFinite``.
     """
     a = np.atleast_2d(np.asarray(matrix, dtype=float))
     _require_finite(a)
@@ -153,7 +158,14 @@ def from_covariance(matrix) -> CorrelationModel:
     if np.max(np.abs(a - a.T)) > SYMMETRY_TOL * scale:
         raise NotSymmetric("covariance matrix is not symmetric within 1e-10 max|sigma_ii|")
     a = 0.5 * (a + a.T)
-    return CorrelationModel(sigma=a, factor_rows=_pivoted_cholesky(a, PIVOT_TOL * scale))
+    sd = np.sqrt(np.clip(np.diag(a), 0.0, None))
+    pos = sd > 0.0
+    if np.any(np.abs(a[~pos]) > PIVOT_TOL * scale):
+        raise NotPSD("variance <= 0 with a covariance beyond 1e-10 max|sigma_ii|; not PSD")
+    unit = np.where(pos, sd, 1.0)
+    corr = np.where(np.outer(pos, pos), a / unit / unit[:, None], 0.0)
+    np.fill_diagonal(corr, pos)
+    return CorrelationModel(sigma=a, factor_rows=sd[:, None] * _pivoted_cholesky(corr, PIVOT_TOL))
 
 
 def random_correlation(n: int, d: int, seed: int) -> CorrelationModel:

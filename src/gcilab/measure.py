@@ -78,9 +78,10 @@ def minkowski_measure_mc(k: HPolytope, t: HPolytope, budget: int, seed) -> Estim
     exact facet form ``minkowski_sum(k, t)``, drawing the same samples. For
     d >= 5 two screens implied by the membership semantics skip redundant
     solves: points inside K or T are inside K + T with a constructive witness,
-    and a point beyond h_K(u) + h_T(u) along any facet normal u is separated
-    from the sum. Each remaining shell point costs one HiGHS feasibility LP
-    (``minkowski_contains``).
+    and a point beyond b + h_T(u) along a facet u . y <= b of K (b >= h_K(u)),
+    or beyond h_K(u) + b along one of T, is separated from the sum; one
+    support LP per facet sets the screen. Each remaining shell point costs one
+    HiGHS feasibility LP (``minkowski_contains``).
     """
     if budget < MC_MIN_BUDGET:
         raise BudgetTooSmall(f"Monte Carlo budget {budget} < {MC_MIN_BUDGET}")
@@ -91,7 +92,8 @@ def minkowski_measure_mc(k: HPolytope, t: HPolytope, budget: int, seed) -> Estim
     seed_seq, seed_int = _as_seed_sequence(seed)
     rng = np.random.default_rng(seed_seq)
     dirs = np.vstack([k.normals, t.normals])
-    hsum = np.array([k.support(u) + t.support(u) for u in dirs])
+    hsum = np.concatenate([k.offsets + [t.support(u) for u in k.normals],
+                           [k.support(u) for u in t.normals] + t.offsets])
     hits = 0
     remaining = budget
     while remaining > 0:

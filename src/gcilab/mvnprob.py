@@ -1,14 +1,14 @@
 """Univariate normal primitives and multivariate rectangle probabilities.
 
 ``rect_prob`` is the one function that picks the method for Pr(a_i <= X_i <=
-b_i for all i) of a centered Gaussian vector. A model of rank d <= 2 on the
-correlation scale gets the exact planar oracle on its standardized factor
-rows. One-factor models, whose correlations are lam_i lam_j off the diagonal
-with |lam_i| < 1 (equicorrelation rho in (0, 1)), get one deterministic 1-D
-integral over the common factor on graded Gauss-Legendre panels, accepted
-when the panels and the panels halved agree within ORACLE_TOL / 10. Every
-other model, and a one-factor model that fails that check, goes to the
-sampling engine.
+b_i for all i) of a centered Gaussian vector. Zero-variance coordinates are
+exact conditions X_i = 0, and a model of rank d <= 2 gets the exact planar
+oracle on its factor rows. The rest is standardized once. One-factor models,
+whose correlations are lam_i lam_j off the diagonal with |lam_i| < 1
+(equicorrelation rho in (0, 1)), get one deterministic 1-D integral over the
+common factor on graded Gauss-Legendre panels, accepted when the panels and
+the panels halved agree within ORACLE_TOL / 10. Every other model, and a
+one-factor model that fails that check, goes to the sampling engine.
 
 The sampling engine (``_qmc_rect_prob``) conditions sequentially through a
 greedily ordered semidefinite Cholesky factorization: each coordinate is
@@ -48,18 +48,16 @@ from .errors import (
     DimensionTooLarge,
     InvalidBounds,
     InvalidParameters,
-    NotPSD,
     OutOfRange,
 )
-from .gaussmodel import (GRAM_TOL, PIVOT_TOL, CorrelationModel, ThresholdVector,
-                         _pivoted_cholesky, _require_finite)
+from .gaussmodel import GRAM_TOL, PIVOT_TOL, CorrelationModel, ThresholdVector, _require_finite
 
 ORACLE_TOL = 1e-7        # absolute tolerance of the quadrature oracle
 CDF_FLOOR = 1e-300       # lower clamp for deep-tail CDF values
 MIN_BUDGET = 1000
 QMC_STDERR_FLOOR = 1e-15  # accumulated representation rounding of the estimate
 QUAD_CLIP = 9.0          # |x| > 9 carries mass < 2e-19, below every tolerance
-DEGENERATE_SLACK = 1e-9  # membership slack for rank-deficient coordinates
+DEGENERATE_SLACK = 1e-9  # membership slack of a candidate vertex of a d = 3 region
 ZERO_COEF = 1e-13        # loadings of the conditioning factor, on the correlation scale
 QMC_BLOCK = 1 << 17      # coordinates (n x points) per kernel call: 1 MB per array
 ORACLE_BLOCK = 1 << 21   # entries per (vertex x row) array of the d = 3 vertex search: 16 MB
@@ -163,27 +161,23 @@ def _children(seed_seq: np.random.SeedSequence, k: int) -> list[np.random.SeedSe
             for i in range(start, start + k)]
 
 
-def _conditioning_system(sigma, lower, upper, tol: float = 1e-10):
+def _conditioning_system(corr, lo, hi):
     """Greedy conditioning order and factor for the sequential transform.
 
-    At every step the remaining coordinate with the smallest estimated
-    conditional interval probability is processed next (narrowest first,
-    conditionally, ranking with truncated-normal means); near-singular
-    directions are therefore eliminated while their conditional variance is
-    still large, which keeps the transformed integrand smooth. Coordinates
-    whose residual variance falls below `tol` are dependent: they get a zero
-    diagonal and their value is an exact linear function of earlier ones.
+    Bounds are standardized. At every step the remaining coordinate of
+    `corr` with the smallest estimated conditional interval probability is
+    processed next (narrowest first, conditionally, ranking with
+    truncated-normal means); near-singular directions are therefore
+    eliminated while their conditional variance is still large, which keeps
+    the transformed integrand smooth. Coordinates whose residual variance is
+    at most ``PIVOT_TOL`` are dependent: they get a zero diagonal and their
+    value is an exact linear function of earlier ones.
 
     Returns the reordered factor with unit diagonal on free rows plus the
     correspondingly scaled bounds.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    n = sigma.shape[0]
-    sd = np.sqrt(np.clip(np.diag(sigma), 0.0, None))
-    scale = np.where(sd > 0, sd, 1.0)
-    resid = sigma / scale / scale[:, None]
-    lo = np.asarray(lower, dtype=float) / scale
-    hi = np.asarray(upper, dtype=float) / scale
+    resid = np.array(corr, dtype=float)
+    n = resid.shape[0]
 
     coef = np.zeros((n, n))     # coef[i, j]: loading of coordinate i on y_j
     pivot_sd = np.zeros(n)
@@ -195,7 +189,7 @@ def _conditioning_system(sigma, lower, upper, tol: float = 1e-10):
         best, best_de, best_stats = -1, 2.0, (0.0, 0.0, 0.0)
         for i in remaining:
             res = resid[i, i]
-            if res > tol:
+            if res > PIVOT_TOL:
                 ci = math.sqrt(res)
                 s = coef[i, :step] @ y_rank[:step] if step else 0.0
                 lo_i = (lo[i] - s) / ci
@@ -214,7 +208,7 @@ def _conditioning_system(sigma, lower, upper, tol: float = 1e-10):
             load = resid[idx, best] / ci
             coef[idx, step] = load
             resid[np.ix_(idx, idx)] -= np.outer(load, load)
-        if best_de > tol:
+        if best_de > PIVOT_TOL:
             lo_d = math.exp(-0.5 * lo_b * lo_b) if abs(lo_b) < 40 else 0.0
             hi_d = math.exp(-0.5 * hi_b * hi_b) if abs(hi_b) < 40 else 0.0
             y_rank[step] = (lo_d - hi_d) / (sqtp * best_de)
@@ -245,26 +239,22 @@ def _transform_plan(ell):
     Dependent rows (zero diagonal) are exact linear constraints on earlier
     free variables; each is folded into the conditional interval of the last
     free variable it involves, so the integrand stays continuous instead of
-    acquiring 0/1 indicator jumps. Rows with no free loading at all reduce to
-    constant feasibility checks.
+    acquiring 0/1 indicator jumps. On the correlation scale a dependent row
+    has unit norm, so it always loads on some free variable.
     """
     n = ell.shape[0]
     free = np.diag(ell) > 0.0
     folds: dict[int, list[int]] = {}
-    constant_rows = []
     for r in np.flatnonzero(~free):
-        nz = np.flatnonzero(np.abs(ell[r, :r]) > ZERO_COEF)
-        if nz.size == 0:
-            constant_rows.append(int(r))
-        else:
-            folds.setdefault(int(nz[-1]), []).append(int(r))
+        last = np.flatnonzero(np.abs(ell[r, :r]) > ZERO_COEF)[-1]
+        folds.setdefault(int(last), []).append(int(r))
     needs_y = np.zeros(n, dtype=bool)
     for j in np.flatnonzero(free):
         later_free = np.abs(ell[j + 1:, j]).max() > ZERO_COEF if j + 1 < n else False
         later_fold = any(abs(ell[r, j]) > ZERO_COEF and last > j
                          for last, rows in folds.items() for r in rows)
         needs_y[j] = bool(later_free or later_fold)
-    return free, folds, constant_rows, needs_y
+    return free, folds, needs_y
 
 
 def _genz_product(ell, plan, a, b, w):
@@ -275,12 +265,8 @@ def _genz_product(ell, plan, a, b, w):
     """
     n = ell.shape[0]
     shape = w.shape[:-2] + w.shape[-1:]
-    free, folds, constant_rows, needs_y = plan
+    free, folds, needs_y = plan
     f = np.ones(shape)
-    for r in constant_rows:
-        # Zero-variance coordinate: its value is exactly 0.
-        if not (a[r] <= DEGENERATE_SLACK and b[r] >= -DEGENERATE_SLACK):
-            return np.zeros(shape)
     y = np.zeros(w.shape[:-2] + (n,) + w.shape[-1:])
     col = 0
     for i in range(n):
@@ -366,29 +352,25 @@ def _cbc_lattice(n_dim: int, n_target: int) -> tuple[tuple[float, ...], int]:
     return tuple(z / n), n
 
 
-def _one_factor_loadings(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Standard deviations and loadings lam of a one-factor covariance, or None.
+def _one_factor_loadings(corr: np.ndarray) -> np.ndarray | None:
+    """Loadings lam of a one-factor correlation matrix, or None.
 
-    A model is one-factor when every variance is positive and the
-    off-diagonal part of its correlation matrix is lam lam^T with all
-    |lam_i| < 1. Exact equicorrelation rho >= 0 is recognized first (lam_i =
-    sqrt(rho)). Otherwise the largest off-diagonal entry C_jk = lam_j lam_k
-    and the other rows, which give the ratio lam_j / lam_k by least squares,
-    fix lam_j, and lam_i = C_ij / lam_j; the fit must reproduce C within
-    ``GRAM_TOL``, so n = 2 with 0 < |rho| < 1 always qualifies, though
-    ``rect_prob`` sends such models to the planar oracle first. Everything
-    is judged on the correlation scale, as the sampling engine does, so the
-    answer does not depend on units; a residual variance 1 - lam_i^2 at or
-    below ``PIVOT_TOL`` counts as exact dependence. Such models, zero
-    variances and independent coordinates (lam = 0, already exact on the
-    sampling engine's product path) return None.
+    A model is one-factor when the off-diagonal part of its correlation
+    matrix C is lam lam^T with all |lam_i| < 1. Exact equicorrelation rho >=
+    0 is recognized first (lam_i = sqrt(rho)). Otherwise the largest
+    off-diagonal entry C_jk = lam_j lam_k and the other rows, which give the
+    ratio lam_j / lam_k by least squares, fix lam_j, and lam_i = C_ij /
+    lam_j; the fit must reproduce C within ``GRAM_TOL``, so n = 2 with 0 <
+    |rho| < 1 always qualifies, though ``rect_prob`` sends such models to the
+    planar oracle first. A residual variance 1 - lam_i^2 at or below
+    ``PIVOT_TOL`` counts as exact dependence. Such models and independent
+    coordinates (lam = 0, already exact on the sampling engine's product
+    path) return None.
     """
-    n = sigma.shape[0]
-    var = sigma.diagonal()
-    if n < 2 or var.min() <= 0.0:
+    n = corr.shape[0]
+    if n < 2:
         return None
-    sd = np.sqrt(var)
-    c = sigma / np.outer(sd, sd)
+    c = np.array(corr, dtype=float)
     np.fill_diagonal(c, c[0, 1])
     if c[0, 1] >= 0.0 and c.min() == c.max():
         lam = np.full(n, math.sqrt(c[0, 1]))
@@ -407,7 +389,7 @@ def _one_factor_loadings(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray] | N
             return None
     if not lam.any() or (lam * lam).max() >= 1.0 - PIVOT_TOL:
         return None
-    return sd, lam
+    return lam
 
 
 def _one_factor_edges(lo, hi, lam) -> np.ndarray:
@@ -468,28 +450,26 @@ def _one_factor_mass(z, weights, lo, hi, lam, counts) -> float:
     return float(np.sum(weights * dens * joint))
 
 
-def _one_factor_prob(model: CorrelationModel, lower, upper) -> Estimate | None:
+def _one_factor_prob(corr: np.ndarray, lower, upper) -> Estimate | None:
     """Exact one-factor rectangle probability, or None when the model or rule does not apply.
 
-    With X_i = sd_i (lam_i Z + s_i E_i), s_i = sqrt(1 - lam_i^2) and Z, E
-    independent standard normals, Pr(lower <= X <= upper) is the single
-    integral over z of phi(z) prod_i [Phi((b_i - lam_i z) / s_i) -
-    Phi((a_i - lam_i z) / s_i)] at standardized bounds a, b, for any n
-    (Dunnett & Sobel 1955). Coordinates unbounded on both sides drop out, and
-    coordinates with equal (a_i, b_i, lam_i) share one factor raised to their
-    count. The panels between ``_one_factor_edges`` and the same panels
+    With X_i = lam_i Z + s_i E_i, s_i = sqrt(1 - lam_i^2) and Z, E
+    independent standard normals, Pr(lower <= X <= upper) at correlation
+    `corr` and standardized bounds a, b is the single integral over z of
+    phi(z) prod_i [Phi((b_i - lam_i z) / s_i) - Phi((a_i - lam_i z) / s_i)],
+    for any n (Dunnett & Sobel 1955). Coordinates unbounded on both sides
+    drop out, and coordinates with equal (a_i, b_i, lam_i) share one factor
+    raised to their count. The panels between ``_one_factor_edges`` and the same panels
     halved must agree within ORACLE_TOL / 10; otherwise None, and the caller
     samples.
     """
-    fit = _one_factor_loadings(model.sigma)
-    if fit is None:
+    lam = _one_factor_loadings(corr)
+    if lam is None:
         return None
-    sd, lam = fit
     keep = ~np.isneginf(lower) | ~np.isposinf(upper)
     if not keep.any():
         return None  # nothing to integrate: the product path gives exactly 1
-    rows, counts = np.unique(np.column_stack([lower / sd, upper / sd, lam])[keep],
-                             axis=0, return_counts=True)
+    rows, counts = np.unique(np.column_stack([lower, upper, lam])[keep], axis=0, return_counts=True)
     lo, hi, lam = rows.T
     edges = _one_factor_edges(lo, hi, lam)
     coarse = _one_factor_mass(*_gauss_legendre(edges), lo, hi, lam, counts)
@@ -510,26 +490,6 @@ def _checked_bounds(lower, upper, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def _planar_system(model: CorrelationModel, lower, upper):
-    """Correlation-scale factor rows and bounds if the model has rank <= 2 there, else None.
-
-    Judged there, as the sampling engine judges dependence, route and value do
-    not depend on units; ``factor_rows`` take rank relative to the largest
-    variance and drop a small coordinate's row. Zero variances get zero rows.
-    """
-    if model.dim > 2:
-        return None
-    pos = model.variances > 0.0
-    sd = np.sqrt(np.where(pos, model.variances, 1.0))
-    corr = np.where(np.outer(pos, pos), model.sigma / np.outer(sd, sd), 0.0)
-    np.fill_diagonal(corr, pos)
-    try:
-        rows = _pivoted_cholesky(0.5 * (corr + corr.T), PIVOT_TOL)
-    except NotPSD:  # PSD only within the tolerance of the largest variance
-        return None
-    return (rows, lower / sd, upper / sd) if rows.shape[1] <= 2 else None
-
-
 def rect_prob(
     model: CorrelationModel,
     lower,
@@ -540,30 +500,39 @@ def rect_prob(
     """Pr(lower_i <= X_i <= upper_i for all i); the one place that picks a method.
 
     The input checks (bounds, ``MIN_BUDGET``, seed) come first, on every
-    path. A model of rank d <= 2 on the correlation scale (``_planar_system``)
-    then gets the exact planar oracle ``oracle_region_prob``, and a
-    one-factor model the deterministic 1-D integral of ``_one_factor_prob``;
-    both report stderr ``ORACLE_TOL``, 0 samples and seed None, under method
-    ``quadrature-oracle`` or ``one-factor``, and use neither budget nor seed.
-    Every other model, and a one-factor model whose panel check fails, goes
-    to ``_qmc_rect_prob``.
+    path. A zero-variance coordinate is X_i = 0: bounds that exclude 0 give
+    exactly 0, and it drops out otherwise. A model of rank d <= 2 then gets
+    the exact planar oracle ``oracle_region_prob`` on its factor rows. The
+    rest is standardized once (sigma / sd_i sd_j, bounds / sd), and a
+    one-factor model gets the deterministic 1-D integral of
+    ``_one_factor_prob``. These report stderr ``ORACLE_TOL``, 0 samples and
+    seed None, under method ``quadrature-oracle`` or ``one-factor``, and use
+    neither budget nor seed. Every other model, and a one-factor model whose
+    panel check fails, goes to ``_qmc_rect_prob``.
     """
     lower, upper = _checked_bounds(lower, upper, model.size)
     if budget < MIN_BUDGET:
         raise BudgetTooSmall(f"budget {budget} < {MIN_BUDGET}")
     _as_seed_sequence(seed)  # a bad seed is an error even where no sample is drawn
 
-    planar = _planar_system(model, lower, upper)
-    if planar is not None:
-        return Estimate(oracle_region_prob(*planar), ORACLE_TOL, 0, METHOD_ORACLE, None)
-    exact = _one_factor_prob(model, lower, upper)
-    return _qmc_rect_prob(model, lower, upper, budget, seed) if exact is None else exact
+    pos = model.variances > 0.0
+    if np.any((lower[~pos] > 0.0) | (upper[~pos] < 0.0)):
+        return Estimate(0.0, ORACLE_TOL, 0, METHOD_ORACLE, None)
+    if model.dim <= 2:
+        value = oracle_region_prob(model.factor_rows[pos], lower[pos], upper[pos])
+        return Estimate(value, ORACLE_TOL, 0, METHOD_ORACLE, None)
+    sd = np.sqrt(model.variances[pos])
+    corr = model.sigma[np.ix_(pos, pos)] / sd / sd[:, None]
+    lower, upper = lower[pos] / sd, upper[pos] / sd
+    exact = _one_factor_prob(corr, lower, upper)
+    return _qmc_rect_prob(corr, lower, upper, budget, seed) if exact is None else exact
 
 
-def _qmc_rect_prob(model: CorrelationModel, lower, upper, budget: int, seed) -> Estimate:
+def _qmc_rect_prob(corr: np.ndarray, lower, upper, budget: int, seed) -> Estimate:
     """Estimate Pr(lower_i <= X_i <= upper_i for all i) by randomized QMC.
 
-    Bounds are checked arrays (see ``rect_prob``). The budget is a total
+    `corr` is a correlation matrix and the bounds are checked, standardized
+    arrays (see ``rect_prob``). The budget is a total
     sample target split over ``REPLICATES`` independently
     shifted copies of a rank-1 lattice (point count rounded down to a prime
     so the fast CBC construction applies; a tent transform periodizes the
@@ -575,15 +544,15 @@ def _qmc_rect_prob(model: CorrelationModel, lower, upper, budget: int, seed) -> 
     replicate spread divided by sqrt(REPLICATES). Results are reproducible
     from (seed, budget) alone and independent of the block size.
     """
-    n = model.size
-    ell, a, b = _conditioning_system(model.sigma, lower, upper)
+    n = corr.shape[0]
+    ell, a, b = _conditioning_system(corr, lower, upper)
     plan = _transform_plan(ell)
-    m = int(plan[3].sum())
+    m = int(plan[2].sum())
     seed_seq, seed_int = _as_seed_sequence(seed)
 
     if m == 0:
-        # Product-form or fully degenerate system: the integrand is constant
-        # and the value is exact up to representation rounding.
+        # Product-form system: the integrand is constant and the value is
+        # exact up to representation rounding.
         value = float(_genz_product(ell, plan, a, b, np.zeros((0, 1)))[0])
         return Estimate(min(max(value, 0.0), 1.0), QMC_STDERR_FLOOR, 0, METHOD_QMC, seed_int)
 
@@ -698,10 +667,12 @@ def _vertex_x1(rows, lower, upper) -> np.ndarray:
     lo_tol = lower - DEGENERATE_SLACK * (1.0 + np.abs(lower))
     hi_tol = upper + DEGENERATE_SLACK * (1.0 + np.abs(upper))
     trip = np.array(list(itertools.combinations(range(rows.shape[0]), 3)))
+    norms = np.linalg.norm(rows, axis=1)
     x1 = []
     # blocks of triples keep the (candidate point x row) check near ORACLE_BLOCK entries
     for block in np.array_split(trip, 1 + trip.shape[0] * 8 * rows.shape[0] // ORACLE_BLOCK):
-        block = block[np.abs(np.linalg.det(rows[block])) > 1e-12]
+        # |det| relative to the rows' norms, so the kinks do not depend on units
+        block = block[np.abs(np.linalg.det(rows[block])) > 1e-12 * np.prod(norms[block], axis=1)]
         rhs = bounds[block[:, None, :], sides]  # triple x side x plane
         t, k = np.nonzero(np.all(np.isfinite(rhs), axis=2))
         pts = np.linalg.solve(rows[block[t]], rhs[t, k][..., None])[..., 0]

@@ -62,7 +62,7 @@ def test_criterion_01_mvn_engine_accuracy():
         model = random_correlation(n, d, 5_100 + k)
         c = rng.uniform(0.4, 2.2, size=n)
         # The sampling engine itself: rect_prob would send d <= 2 to the oracle.
-        est = _qmc_rect_prob(model, -c, c, 1 << 16, k)
+        est = _qmc_rect_prob(model.sigma, -c, c, 1 << 16, k)
         orc = oracle_region_prob(model.factor_rows, -c, c)
         gap = abs(est.value - orc)
         tol = 3.0 * math.hypot(est.stderr, ORACLE_TOL)

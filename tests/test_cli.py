@@ -234,6 +234,29 @@ class TestJsonContracts:
         assert payload["method"] == "quadrature-oracle"
         assert abs(payload["value"] - exact) <= 1e-12
 
+    def test_tehranchi_does_not_depend_on_units(self, tmp_path):
+        # With X_3 in units of 1e-6, rank relative to the largest variance read
+        # this model as rank 2 and the theorem-backed bound as violated.
+        sigma = random_correlation(3, 3, 0).sigma
+        rng = np.random.default_rng(0)
+        s, t = rng.uniform(0.3, 2.0, 3), rng.uniform(0.3, 2.0, 3)
+        reports = []
+        for d in (np.ones(3), np.array([1.0, 1.0, 1e-6])):
+            for name, rows in [("cov", d[:, None] * sigma * d[None, :]), ("s", [d * s]),
+                               ("t", [d * t])]:
+                (tmp_path / f"{name}.csv").write_text(
+                    "\n".join(",".join(repr(float(x)) for x in row) for row in rows) + "\n")
+            code, out = _capture(["check", "tehranchi", "--cov", str(tmp_path / "cov.csv"),
+                                  "--bounds", str(tmp_path / "s.csv"),
+                                  "--bounds2", str(tmp_path / "t.csv"), "--s", "0.8",
+                                  "--t", "0.9", "--budget", "16384", "--seed", "1", "--json"])
+            assert code == 0
+            reports.append(json.loads(out))
+        unscaled, scaled = reports
+        assert scaled["verdict"] == "supported"
+        for side in ("lhs", "rhs"):
+            assert abs(scaled[side]["value"] - unscaled[side]["value"]) <= 1e-9
+
     def test_lattice_check(self, csv_dir):
         code, out = _capture(["check", "lattice", "--hpoly", str(csv_dir / "box.csv"),
                               "--hpoly2", str(csv_dir / "box.csv"),

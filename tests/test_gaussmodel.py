@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gcilab.errors import (
+    GciLabError,
     InvalidBounds,
     InvalidDimension,
     MalformedInput,
@@ -67,6 +68,33 @@ class TestFromCovariance:
         assert m.dim == 3
         np.testing.assert_allclose(m.factor_rows @ m.factor_rows.T, sigma * scale,
                                    rtol=0, atol=1e-9 * scale)
+        # Each coordinate in its own units: rank is decided on the correlation scale.
+        d = scale * 10.0 ** np.random.default_rng(11).uniform(-8.0, 8.0, 6)
+        each = from_covariance(d[:, None] * sigma * d[None, :])
+        assert each.dim == 3
+        np.testing.assert_allclose(each.factor_rows / np.sqrt(each.variances)[:, None],
+                                   from_covariance(sigma).factor_rows, rtol=0, atol=1e-12)
+
+    def test_rejects_correlation_beyond_one_in_small_units(self):
+        # rho = 10: not PSD, however small the second variance.
+        with pytest.raises(NotPSD):
+            from_covariance([[1.0, 1e-9], [1e-9, 1e-20]])
+
+    def test_zero_variance_rows_are_exactly_zero(self):
+        sigma = np.zeros((4, 4))
+        sigma[np.ix_([0, 2, 3], [0, 2, 3])] = random_correlation(3, 3, 5).sigma * 1e-6
+        m = from_covariance(sigma)
+        assert m.dim == 3 and not np.any(m.factor_rows[1])
+        with pytest.raises(NotPSD):
+            from_covariance([[1.0, 1e-6], [1e-6, 0.0]])
+        with pytest.raises(NotPSD):
+            from_covariance([[1.0, 0.0], [0.0, -1e-6]])
+
+    def test_gram_check_is_relative_to_each_variance(self):
+        # Dropping the small coordinate's row is off by its whole variance.
+        with pytest.raises(GciLabError):
+            CorrelationModel(sigma=np.diag([1.0, 1e-12]), factor_rows=[[1.0], [0.0]])
+        CorrelationModel(sigma=np.diag([1.0, 1e-12]), factor_rows=[[1.0, 0.0], [0.0, 1e-6]])
 
     def test_zero_covariance_is_rank_zero(self):
         m = from_covariance(np.zeros((3, 3)))

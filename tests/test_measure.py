@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from gcilab import measure
+from gcilab import convexgeom, measure
 from gcilab.convexgeom import (
     HPolytope,
     Polygon2D,
@@ -118,6 +118,19 @@ class TestMinkowskiMeasureMc:
         band = SymmetricBand(from_covariance(np.eye(2)), ThresholdVector([2.0, 2.0]))
         qmc = gauss_measure_band(band, budget=2 ** 13, seed=6)
         assert abs(ms.value - qmc.value) <= 3 * _combined(ms, qmc)
+
+    def test_screen_costs_one_support_lp_per_facet(self, monkeypatch):
+        # Along its own facet normal a body's support is at most the offset,
+        # so only the other body's support needs an LP.
+        k = HPolytope.weighted_l1_ball([1.0, 0.8, 0.6, 0.9, 1.2], 2.0)
+        t = HPolytope.axis_box([1e-4] * 5)
+        calls = []
+        support_lp = convexgeom._support_lp
+        monkeypatch.setattr(convexgeom, "_support_lp",
+                            lambda *args: calls.append(args) or support_lp(*args))
+        est = minkowski_measure_mc(k, t, 100_000, 1)
+        assert len(calls) == len(k.offsets) + len(t.offsets) == 42
+        assert est.value == 0.0909  # as with two support LPs per facet
 
     def test_summands_in_different_dimensions(self):
         with pytest.raises(DimensionMismatch):

@@ -60,7 +60,7 @@ class TestStdNormalCdf:
         assert ndtr(-45.0) == 0.0 and mvnprob.CDF_FLOOR >= 1e-300
         model = random_correlation(4, 3, 1)
         lo, hi = np.array([-50.0, -1.0, -1.0, -1.0]), np.array([-45.0, 1.0, 1.0, 1.0])
-        est = mvnprob._qmc_rect_prob(model, lo, hi, 2 ** 10, 0)
+        est = mvnprob._qmc_rect_prob(model.sigma, lo, hi, 2 ** 10, 0)
         assert est.value == 0.0 and math.isfinite(est.stderr)
 
     def test_nan_rejected(self):
@@ -246,12 +246,22 @@ class TestDispatch:
         assert abs(scaled.value - base.value) <= 1e-12
 
     def test_standardized_rank_three_goes_to_qmc(self):
-        # Rank 2 relative to the largest variance, rank 3 on the correlation scale.
+        # Rank 3 on the correlation scale, whatever the units of X_3.
         model = from_covariance(np.diag([1.0, 1.0, 1e-12]))
         lower, upper = -np.array([1.0, 0.5, 1e-6]), np.array([1.0, 0.5, 1e-6])
         est = rect_prob(model, lower, upper, budget=4096, seed=2)
-        assert model.dim == 2
-        assert est == mvnprob._qmc_rect_prob(model, lower, upper, 4096, 2)
+        sd = np.sqrt(model.variances)
+        assert model.dim == 3
+        assert est == mvnprob._qmc_rect_prob(model.sigma / sd / sd[:, None], lower / sd,
+                                             upper / sd, 4096, 2)
+
+    @pytest.mark.parametrize("lo, hi", [(1e-10, 1.0), (1e-300, np.inf), (-np.inf, -1e-300)])
+    def test_zero_variance_outside_its_bounds_is_exactly_zero(self, lo, hi):
+        # X_3 = 0 exactly; the sampling engine's old slack read the first case as 0.346.
+        sigma = np.zeros((4, 4))
+        sigma[:3, :3] = random_correlation(3, 3, 0).sigma
+        est = rect_prob(from_covariance(sigma), [-1.0, -1.0, -1.0, lo], [1.0, 1.0, 1.0, hi])
+        assert (est.value, est.stderr, est.method) == (0.0, ORACLE_TOL, "quadrature-oracle")
 
 
 def _random_rectangle(seed):
@@ -310,6 +320,25 @@ class TestRectProbInvariance:
         assert abs(est.value - again.value) <= 1e-12
         assert abs(est.stderr - again.stderr) <= 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_zero_variance_coordinates(self, seed):
+        model, lower, upper, rng = _random_rectangle(seed)
+        k = int(rng.integers(1, 3))
+        n = model.size + k
+        zero = np.sort(rng.choice(n, k, replace=False))
+        rest = np.setdiff1d(np.arange(n), zero)
+        sigma, lo, hi = np.zeros((n, n)), np.empty(n), np.empty(n)
+        sigma[np.ix_(rest, rest)] = model.sigma
+        lo[rest], hi[rest] = lower, upper
+        lo[zero], hi[zero] = rng.choice([-np.inf, -1.0, 0.0], k), rng.choice([0.0, 2.0, np.inf], k)
+        est = rect_prob(model, lower, upper, budget=2000, seed=seed)
+        # Bounds around 0 drop the coordinate: the same estimate in every field.
+        assert rect_prob(from_covariance(sigma), lo, hi, budget=2000, seed=seed) == est
+        # Bounds that exclude 0, however narrowly: exactly 0.
+        lo[zero[0]], hi[zero[0]] = (1e-300, np.inf) if rng.random() < 0.5 else (-np.inf, -1e-300)
+        assert rect_prob(from_covariance(sigma), lo, hi, budget=2000, seed=seed).value == 0.0
+
 
 class TestReplicateBlocks:
     """Estimates do not depend on how many replicates share one kernel call."""
@@ -325,7 +354,7 @@ class TestReplicateBlocks:
 
         def estimates():  # the QMC kernel itself: rect_prob sends the rank-2 cases to the oracle
             return [(e.value, e.stderr, e.samples) for e in
-                    (mvnprob._qmc_rect_prob(m, np.asarray(lo), np.asarray(hi), budget, k)
+                    (mvnprob._qmc_rect_prob(m.sigma, np.asarray(lo), np.asarray(hi), budget, k)
                      for k, (m, lo, hi, budget) in enumerate(cases))]
 
         default = estimates()
@@ -456,7 +485,7 @@ class TestOracle:
         m = random_correlation(n, 2, 900 + n)
         c = np.random.default_rng(n).uniform(0.8, 3.0, size=n)
         oracle_est = rect_prob(m, -c, c)
-        qmc_est = mvnprob._qmc_rect_prob(m, -c, c, 2 ** 16, n)
+        qmc_est = mvnprob._qmc_rect_prob(m.sigma, -c, c, 2 ** 16, n)
         assert abs(oracle_est.value - qmc_est.value) <= 3 * qmc_est.stderr + ORACLE_TOL
 
     def test_three_dimensional_vertex_kinks(self):
@@ -468,6 +497,16 @@ class TestOracle:
         qmc_est = rect_prob(m, lo, hi, budget=2 ** 16, seed=208)
         assert abs(oracle_region_prob(m.factor_rows, lo, hi) - qmc_est.value) <= \
             3 * qmc_est.stderr + ORACLE_TOL
+
+    @pytest.mark.parametrize("scale", [1e-5, 1e5])
+    def test_vertex_kinks_do_not_depend_on_units(self, scale):
+        # The vertex search once kept triples by an absolute |det|, so rows
+        # of size 1e-5 lost every kink (1.5e-6 off here).
+        rows = random_correlation(3, 3, 208).factor_rows
+        lo = np.array([-2.39928877, -1.80025343, -0.75676462])
+        hi = np.array([1.5050067, 2.33846238, 2.0380234])
+        base = oracle_region_prob(rows, lo, hi)
+        assert abs(oracle_region_prob(rows * scale, lo * scale, hi * scale) - base) <= ORACLE_TOL
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_rotated_box_is_rotation_invariant(self, d):
@@ -598,7 +637,7 @@ class TestQmcOracleAgreement:
         lo = -rng.uniform(0.3, 2.5, size=n)
         hi = rng.uniform(0.3, 2.5, size=n)
         lo[rng.random(n) < 0.2] = -np.inf
-        qmc_est = mvnprob._qmc_rect_prob(m, lo, hi, 2 ** 16, seed)
+        qmc_est = mvnprob._qmc_rect_prob(m.sigma, lo, hi, 2 ** 16, seed)
         exact = oracle_region_prob(m.factor_rows, lo, hi)
         assert abs(qmc_est.value - exact) <= 3 * qmc_est.stderr + 3 * ORACLE_TOL
 
@@ -609,7 +648,7 @@ class TestQmcOracleAgreement:
             d = int(rng.integers(1, min(n, 3) + 1))
             m = random_correlation(n, d, seed)
             c = rng.uniform(0.4, 2.0, size=n)
-            qmc_est = mvnprob._qmc_rect_prob(m, -c, c, 2 ** 13, seed)
+            qmc_est = mvnprob._qmc_rect_prob(m.sigma, -c, c, 2 ** 13, seed)
             exact = oracle_region_prob(m.factor_rows, -c, c)
             assert abs(qmc_est.value - exact) <= 3 * qmc_est.stderr + 3 * ORACLE_TOL
 
@@ -645,7 +684,7 @@ class TestOneFactorRule:
         # rect_prob sends n = 2 to the planar oracle, so the rule is called directly.
         model = from_covariance([[1.0, rho], [rho, 1.0]])
         lower, upper = _one_factor_bounds(np.random.default_rng(seed), 2)
-        est = mvnprob._one_factor_prob(model, lower, upper)
+        est = mvnprob._one_factor_prob(model.sigma, lower, upper)
         if _expected_method(model) == mvnprob.METHOD_QMC:
             assert est is None  # independent coordinates: the product path's case
         else:
@@ -672,7 +711,7 @@ class TestOneFactorRule:
         lower, upper = _one_factor_bounds(rng, n)
         est = rect_prob(model, lower, upper, budget=2 ** 12, seed=seed)
         assert est.method == _expected_method(model)
-        ref = mvnprob._qmc_rect_prob(model, lower, upper, 2 ** 18, seed)
+        ref = mvnprob._qmc_rect_prob(model.sigma, lower, upper, 2 ** 18, seed)
         assert abs(est.value - ref.value) <= 4 * ref.stderr + 1e-9
 
     def test_result_fields(self):
@@ -685,7 +724,7 @@ class TestOneFactorRule:
     def test_equicorrelation_shares_one_factor(self):
         # Exact equicorrelation is recognized before the fit, so every loading
         # is the same float and equal thresholds collapse to one factor.
-        _, lam = mvnprob._one_factor_loadings(equicorrelated(7, 0.3).sigma)
+        lam = mvnprob._one_factor_loadings(equicorrelated(7, 0.3).sigma)
         assert np.all(lam == math.sqrt(0.3))
 
     def test_upper_tail_keeps_relative_precision(self):
@@ -712,14 +751,14 @@ class TestOneFactorRule:
         monkeypatch.setattr(mvnprob, "_GL_NODES", nodes)
         monkeypatch.setattr(mvnprob, "_GL_WEIGHTS", weights)
         est = rect_prob(model, lower, upper, budget=4096, seed=2)
-        assert est == mvnprob._qmc_rect_prob(model, lower, upper, 4096, 2)
+        assert est == mvnprob._qmc_rect_prob(model.sigma, lower, upper, 4096, 2)
 
     def test_qmc_engine_on_equicorrelated_model(self):
         # The sampling engine's own check against an exact value, now that
         # rect_prob no longer samples these models.
         lam = np.full(6, math.sqrt(0.6))
         lower, upper = np.array([-1.0, -2.0, -np.inf, -0.5, -1.5, 0.2]), np.full(6, 1.7)
-        est = mvnprob._qmc_rect_prob(equicorrelated(6, 0.6), lower, upper, 2 ** 16, 5)
+        est = mvnprob._qmc_rect_prob(equicorrelated(6, 0.6).sigma, lower, upper, 2 ** 16, 5)
         assert est.method == "qmc"
         assert abs(est.value - oracles.one_factor_quad(lam, lower, upper)) <= \
             3 * est.stderr + 1e-9
@@ -740,7 +779,8 @@ class TestOneFactorRule:
         for lower, upper in [(-np.full(12, 2.5), np.full(12, 2.5)), _one_factor_bounds(rng, 12)]:
             assert rect_prob(model, lower, upper, 2 ** 14, 1).method == "one-factor"
             rule_s = best_time(lambda: rect_prob(model, lower, upper, 2 ** 14, 1), 5)
-            qmc_s = best_time(lambda: mvnprob._qmc_rect_prob(model, lower, upper, 2 ** 14, 1), 3)
+            qmc_s = best_time(lambda: mvnprob._qmc_rect_prob(model.sigma, lower, upper, 2 ** 14, 1),
+                              3)
             assert rule_s <= qmc_s
 
 
@@ -750,14 +790,11 @@ def _stays_on_qmc_cases():
     np.fill_diagonal(one_factor, 1.0)
     factor_copy = np.outer([1.0, 1.0, 0.6, 0.5], [1.0, 1.0, 0.6, 0.5])
     np.fill_diagonal(factor_copy, 1.0)  # X_0 = X_1 = Z: off-diagonal rank one, lam_0 = 1
-    zero_variance = one_factor.copy()
-    zero_variance[2, :] = zero_variance[:, 2] = 0.0
     cases = {"negative equicorrelation": equicorrelated(4, -0.2),
              "rho = 1": equicorrelated(4, 1.0),
              "duplicated coordinate": from_covariance(factor_copy),
              "duplicate of a loaded coordinate": from_covariance(
-                 one_factor[np.ix_([0, 0, 1, 2], [0, 0, 1, 2])]),
-             "zero variance": from_covariance(zero_variance)}
+                 one_factor[np.ix_([0, 0, 1, 2], [0, 0, 1, 2])])}
     for d in (2, 3, 4):
         for seed in (1, 2):
             cases[f"random n = 4, d = {d}, seed {seed}"] = random_correlation(4, d, seed)
@@ -766,6 +803,22 @@ def _stays_on_qmc_cases():
 
 class TestOneFactorEligibility:
     """Models without a real one-factor form go to the oracle (d <= 2) or to QMC, bit for bit."""
+
+    @pytest.mark.parametrize("lam, zero", [([0.8, 0.6, 0.7], 2), (None, 4)],
+                             ids=["one factor", "equicorrelated"])
+    def test_zero_variance_coordinate_drops_out(self, lam, zero):
+        # X_zero = 0 lies inside its bounds, so the rest decides the method.
+        block = equicorrelated(4, 0.5).sigma.copy() if lam is None else np.outer(lam, lam)
+        np.fill_diagonal(block, 1.0)
+        rest = np.arange(len(block) + 1) != zero
+        sigma = np.zeros((len(block) + 1,) * 2)
+        sigma[np.ix_(rest, rest)] = block
+        lower = np.array([-1.0, -0.5, -2.0, -np.inf, -1.5])[:len(sigma)]
+        upper = np.array([1.2, 1.5, 0.8, 1.0, 0.3])[:len(sigma)]
+        est = rect_prob(from_covariance(sigma), lower, upper, budget=4096, seed=3)
+        assert est.method == "one-factor"
+        assert est == rect_prob(from_covariance(block), lower[rest], upper[rest],
+                                budget=4096, seed=3)
 
     @pytest.mark.parametrize("name", sorted(_stays_on_qmc_cases()))
     def test_stays_on_qmc(self, name):
@@ -780,13 +833,14 @@ class TestOneFactorEligibility:
             assert abs(est.value - exact) <= 1e-12
         else:
             assert est.method == "qmc"
-            assert est == mvnprob._qmc_rect_prob(model, lower, upper, 4096, 3)
+            assert est == mvnprob._qmc_rect_prob(model.sigma, lower, upper, 4096, 3)
 
     def test_scaled_one_factor_model_is_eligible(self):
         # Standardization rounds, so the rank-one fit, not exact equality, decides.
         d = np.array([1e-3, 2.0, 7.0, 1e4])
         model = from_covariance(d[:, None] * equicorrelated(4, 0.3).sigma * d[None, :])
-        sd, lam = mvnprob._one_factor_loadings(model.sigma)
+        sd = np.sqrt(model.variances)
+        lam = mvnprob._one_factor_loadings(model.sigma / sd / sd[:, None])
         assert np.allclose(sd, d, rtol=1e-14) and np.allclose(lam, math.sqrt(0.3), rtol=1e-12)
         est = rect_prob(model, -d, 2 * d, budget=4096, seed=0)
         expect = oracles.one_factor_quad(lam, -np.ones(4), np.full(4, 2.0))
