@@ -475,8 +475,7 @@ def check_tehranchi(model: CorrelationModel, s_thr: ThresholdVector,
                     budget: int = 1 << 14, seed=0) -> InequalityReport:
     """Tehranchi's constant-loss bound for band bodies (theorem backed).
 
-    For all sqrt(s) <= t < 1, with d the model rank (``model.dim``, decided on
-    the correlation scale by ``from_covariance``, so it does not depend on units),
+    For all sqrt(s) <= t < 1, with d = ``model.dim`` the rank of the correlation matrix,
 
         (1-s)^(-d/2) * gamma(sqrt(2(1-s)/(1+t)) (K inter T))
                      * gamma(sqrt((1-s)/(2(1-t))) (K + T))

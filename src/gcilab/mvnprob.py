@@ -503,27 +503,28 @@ def rect_prob(
     path. A zero-variance coordinate is X_i = 0: bounds that exclude 0 give
     exactly 0, and it drops out otherwise. A model of rank d <= 2 then gets
     the exact planar oracle ``oracle_region_prob`` on its factor rows. The
-    rest is standardized once (sigma / sd_i sd_j, bounds / sd), and a
-    one-factor model gets the deterministic 1-D integral of
-    ``_one_factor_prob``. These report stderr ``ORACLE_TOL``, 0 samples and
-    seed None, under method ``quadrature-oracle`` or ``one-factor``, and use
-    neither budget nor seed. Every other model, and a one-factor model whose
-    panel check fails, goes to ``_qmc_rect_prob``.
+    rest is standardized once, and a one-factor model gets the 1-D integral
+    of ``_one_factor_prob``. These report stderr ``ORACLE_TOL``, 0 samples
+    and seed None, under method ``quadrature-oracle`` or ``one-factor``, and
+    use neither budget nor seed. Every other model, and a one-factor model
+    whose panel check fails, goes to ``_qmc_rect_prob``.
     """
     lower, upper = _checked_bounds(lower, upper, model.size)
     if budget < MIN_BUDGET:
         raise BudgetTooSmall(f"budget {budget} < {MIN_BUDGET}")
     _as_seed_sequence(seed)  # a bad seed is an error even where no sample is drawn
 
+    rows, sigma = model.factor_rows, model.sigma
     pos = model.variances > 0.0
-    if np.any((lower[~pos] > 0.0) | (upper[~pos] < 0.0)):
-        return Estimate(0.0, ORACLE_TOL, 0, METHOD_ORACLE, None)
+    if not pos.all():
+        if np.any((lower[~pos] > 0.0) | (upper[~pos] < 0.0)):
+            return Estimate(0.0, ORACLE_TOL, 0, METHOD_ORACLE, None)
+        rows, sigma, lower, upper = rows[pos], sigma[np.ix_(pos, pos)], lower[pos], upper[pos]
     if model.dim <= 2:
-        value = oracle_region_prob(model.factor_rows[pos], lower[pos], upper[pos])
-        return Estimate(value, ORACLE_TOL, 0, METHOD_ORACLE, None)
-    sd = np.sqrt(model.variances[pos])
-    corr = model.sigma[np.ix_(pos, pos)] / sd / sd[:, None]
-    lower, upper = lower[pos] / sd, upper[pos] / sd
+        return Estimate(oracle_region_prob(rows, lower, upper), ORACLE_TOL, 0, METHOD_ORACLE, None)
+    sd = np.sqrt(np.diag(sigma))
+    corr = sigma / sd / sd[:, None]
+    lower, upper = lower / sd, upper / sd
     exact = _one_factor_prob(corr, lower, upper)
     return _qmc_rect_prob(corr, lower, upper, budget, seed) if exact is None else exact
 
