@@ -779,8 +779,8 @@ class TestOneFactorRule:
         for lower, upper in [(-np.full(12, 2.5), np.full(12, 2.5)), _one_factor_bounds(rng, 12)]:
             assert rect_prob(model, lower, upper, 2 ** 14, 1).method == "one-factor"
             rule_s = best_time(lambda: rect_prob(model, lower, upper, 2 ** 14, 1), 5)
-            qmc_s = best_time(lambda: mvnprob._qmc_rect_prob(model.sigma, lower, upper, 2 ** 14, 1),
-                              3)
+            qmc_s = best_time(
+                lambda: mvnprob._qmc_rect_prob(model.sigma, lower, upper, 2 ** 14, 1), 3)
             assert rule_s <= qmc_s
 
 
