@@ -2,7 +2,9 @@
 
 ``rect_prob`` is the one function that picks the method for Pr(a_i <= X_i <=
 b_i for all i) of a centered Gaussian vector. Zero-variance coordinates are
-exact conditions X_i = 0, and a model of rank d <= 2 gets the exact planar
+exact conditions X_i = 0. A covariance whose exact nonzero pattern splits into
+independent blocks is measured block by block, identical blocks once, and the
+probabilities multiply. A single block of rank d <= 2 gets the exact planar
 oracle on its factor rows. The rest is standardized once. One-factor models,
 whose correlations are lam_i lam_j off the diagonal with |lam_i| < 1
 (equicorrelation rho in (0, 1)), get one deterministic 1-D integral over the
@@ -50,7 +52,14 @@ from .errors import (
     InvalidParameters,
     OutOfRange,
 )
-from .gaussmodel import GRAM_TOL, PIVOT_TOL, CorrelationModel, ThresholdVector, _require_finite
+from .gaussmodel import (
+    GRAM_TOL,
+    PIVOT_TOL,
+    CorrelationModel,
+    ThresholdVector,
+    _require_finite,
+    from_covariance,
+)
 
 ORACLE_TOL = 1e-7        # absolute tolerance of the quadrature oracle
 CDF_FLOOR = 1e-300       # lower clamp for deep-tail CDF values
@@ -501,13 +510,16 @@ def rect_prob(
 
     The input checks (bounds, ``MIN_BUDGET``, seed) come first, on every
     path. A zero-variance coordinate is X_i = 0: bounds that exclude 0 give
-    exactly 0, and it drops out otherwise. A model of rank d <= 2 then gets
-    the exact planar oracle ``oracle_region_prob`` on its factor rows. The
-    rest is standardized once, and a one-factor model gets the 1-D integral
-    of ``_one_factor_prob``. These report stderr ``ORACLE_TOL``, 0 samples
-    and seed None, under method ``quadrature-oracle`` or ``one-factor``, and
-    use neither budget nor seed. Every other model, and a one-factor model
-    whose panel check fails, goes to ``_qmc_rect_prob``.
+    exactly 0, and it drops out otherwise. A covariance that splits into
+    independent groups (``_components``) gives the product of the groups'
+    probabilities, each from a ``rect_prob`` call of its own
+    (``_block_prob``). A single group of rank d <= 2 then gets the exact
+    planar oracle ``oracle_region_prob`` on its factor rows. The rest is
+    standardized once, and a one-factor model gets the 1-D integral of
+    ``_one_factor_prob``. These report stderr ``ORACLE_TOL``, 0 samples and
+    seed None, under method ``quadrature-oracle`` or ``one-factor``, and use
+    neither budget nor seed. Every other model, and a one-factor model whose
+    panel check fails, goes to ``_qmc_rect_prob``.
     """
     lower, upper = _checked_bounds(lower, upper, model.size)
     if budget < MIN_BUDGET:
@@ -520,6 +532,9 @@ def rect_prob(
         if np.any((lower[~pos] > 0.0) | (upper[~pos] < 0.0)):
             return Estimate(0.0, ORACLE_TOL, 0, METHOD_ORACLE, None)
         rows, sigma, lower, upper = rows[pos], sigma[np.ix_(pos, pos)], lower[pos], upper[pos]
+    groups = _components(sigma)
+    if len(groups) > 1:
+        return _block_prob(sigma, lower, upper, groups, budget, seed)
     if model.dim <= 2:
         return Estimate(oracle_region_prob(rows, lower, upper), ORACLE_TOL, 0, METHOD_ORACLE, None)
     sd = np.sqrt(np.diag(sigma))
@@ -527,6 +542,62 @@ def rect_prob(
     lower, upper = lower / sd, upper / sd
     exact = _one_factor_prob(corr, lower, upper)
     return _qmc_rect_prob(corr, lower, upper, budget, seed) if exact is None else exact
+
+
+def _components(sigma: np.ndarray) -> list[np.ndarray]:
+    """Index groups of sigma that are independent of each other, ordered by first index.
+
+    The groups are the connected components of the exact nonzero pattern of
+    `sigma`, except that coordinates with no nonzero correlation share one
+    group: a diagonal model is a single group. A sigma without an exact zero
+    is one group after a single test.
+    """
+    n = sigma.shape[0]
+    if sigma.all():
+        return [np.arange(n)]
+    linked = sigma != 0.0
+    # Each coordinate takes the smallest label among its neighbours and itself
+    # until nothing changes: the label of a component is its first index.
+    labels = np.arange(n)
+    while True:
+        new = np.where(linked, labels, n).min(axis=1)
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    alone = linked.sum(axis=1) == 1
+    if alone.any():
+        labels[alone] = labels[alone].min()
+    return [np.flatnonzero(labels == k) for k in np.unique(labels)]
+
+
+_EXACTNESS = {METHOD_QMC: 0, METHOD_ONE_FACTOR: 1, METHOD_ORACLE: 2}  # least exact first
+
+
+def _block_prob(sigma, lower, upper, groups, budget: int, seed) -> Estimate:
+    """Product over independent index groups of their rectangle probabilities.
+
+    Group k is measured by ``rect_prob`` on its own block with child k of
+    `seed` (``_children``). Groups whose covariance block and bounds are
+    byte-identical are measured once, with the child of the first, and the
+    estimate is raised to their count. The product reports the least exact
+    method of any group, the samples of the groups measured and the call's
+    integer seed.
+    """
+    seed_seq, seed_int = _as_seed_sequence(seed)
+    children = _children(seed_seq, len(groups))
+    alike: dict[tuple, list[int]] = {}
+    for k, idx in enumerate(groups):
+        key = (sigma[np.ix_(idx, idx)].tobytes(), lower[idx].tobytes(), upper[idx].tobytes())
+        alike.setdefault(key, []).append(k)
+    total, samples, method = Estimate(1.0), 0, METHOD_ORACLE
+    for first, *rest in alike.values():
+        idx = groups[first]
+        est = rect_prob(from_covariance(sigma[np.ix_(idx, idx)]), lower[idx], upper[idx],
+                        budget, children[first])
+        total = total.times(est.powered(1 + len(rest)))
+        samples += est.samples
+        method = min(method, est.method, key=_EXACTNESS.get)
+    return Estimate(total.value, total.stderr, samples, method, seed_int)
 
 
 def _qmc_rect_prob(corr: np.ndarray, lower, upper, budget: int, seed) -> Estimate:

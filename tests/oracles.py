@@ -4,7 +4,8 @@ Everything here is deliberately built from primitives different from the
 package's estimation paths: raw adaptive quadrature of the Gaussian density,
 bisection inverses, brute-force convex hulls of pairwise vertex sums, the
 polar formula for the Gaussian measure of a planar polygon, and a hand-written
-phase-1 simplex for Minkowski-sum membership.
+phase-1 simplex for Minkowski-sum membership, and scipy's multivariate normal
+CDF on a whole, unfactored covariance.
 Expected values asserted in the tests are computed through these functions.
 """
 
@@ -15,6 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.spatial import ConvexHull
+from scipy.stats import multivariate_normal
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 LP_TOL = 1e-9           # simplex feasibility tolerance
@@ -101,6 +103,18 @@ def one_factor_quad(lam, lower, upper, tol: float = 1e-12) -> float:
                     for e in (a, b) if math.isfinite(e) and abs(e / v) < 10.0})
     val, _ = quad(integrand, -10.0, 10.0, points=kinks or None, epsabs=tol, limit=400)
     return val
+
+
+def mvn_rect_prob(sigma, lower, upper, tol: float = 1e-8) -> float:
+    """Pr(lower <= X <= upper) for X ~ N(0, sigma), sigma positive definite.
+
+    ``scipy.stats.multivariate_normal.cdf`` (Genz-Bretz integration) on the
+    whole matrix, so a block-diagonal sigma is integrated as one dense problem
+    and nothing is factored into blocks.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    mvn = multivariate_normal(np.zeros(sigma.shape[0]), sigma, abseps=tol, releps=0.0)
+    return float(mvn.cdf(np.asarray(upper, dtype=float), lower_limit=np.asarray(lower, dtype=float)))
 
 
 def minkowski_vertices_bruteforce(p_vertices, q_vertices) -> np.ndarray:

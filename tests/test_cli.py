@@ -234,6 +234,26 @@ class TestJsonContracts:
         assert payload["method"] == "quadrature-oracle"
         assert abs(payload["value"] - exact) <= 1e-12
 
+    def test_measure_block_diagonal_band_is_exact(self, tmp_path):
+        # Rank 4 as one model, so it was sampled; each rank-2 block is exact.
+        first, second = random_correlation(3, 2, 5), random_correlation(3, 2, 6)
+        sigma = np.zeros((6, 6))
+        sigma[:3, :3], sigma[3:, 3:] = first.sigma, second.sigma
+        c = np.array([0.8, 1.1, 1.4, 0.9, 1.2, 1.0])
+        (tmp_path / "cov.csv").write_text(
+            "\n".join(",".join(repr(float(x)) for x in row) for row in sigma) + "\n")
+        (tmp_path / "bounds.csv").write_text(",".join(repr(float(x)) for x in c) + "\n")
+        code, out = _capture(["measure", "--cov", str(tmp_path / "cov.csv"),
+                              "--bounds", str(tmp_path / "bounds.csv"),
+                              "--budget", "16384", "--seed", "8", "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        exact = (oracle_region_prob(first.factor_rows, -c[:3], c[:3])
+                 * oracle_region_prob(second.factor_rows, -c[3:], c[3:]))
+        assert (payload["method"], payload["samples"], payload["seed"]) == \
+            ("quadrature-oracle", 0, 8)
+        assert abs(payload["value"] - exact) <= 1e-12
+
     def test_tehranchi_does_not_depend_on_units(self, tmp_path):
         # With X_3 in units of 1e-6, rank relative to the largest variance read
         # this model as rank 2 and the theorem-backed bound as violated.

@@ -26,6 +26,7 @@ from gcilab.gaussmodel import (
     ThresholdVector,
     equicorrelated,
     from_covariance,
+    product_model,
     random_correlation,
 )
 from gcilab.ineqlab import check_sidak
@@ -179,6 +180,9 @@ class TestRectProb:
         prod = p1.value * p2.value
         se = math.hypot(whole.stderr, p1.stderr + p2.stderr)
         assert abs(whole.value - prod) <= 3 * se + 1e-6
+        # Both blocks have rank 2, so each is exact and so is their product.
+        assert whole.method == p1.method == p2.method == "quadrature-oracle"
+        assert abs(whole.value - prod) <= 1e-12
 
     def test_stderr_small_at_full_budget(self):
         rng = np.random.default_rng(44)
@@ -262,6 +266,137 @@ class TestDispatch:
         sigma[:3, :3] = random_correlation(3, 3, 0).sigma
         est = rect_prob(from_covariance(sigma), [-1.0, -1.0, -1.0, lo], [1.0, 1.0, 1.0, hi])
         assert (est.value, est.stderr, est.method) == (0.0, ORACLE_TOL, "quadrature-oracle")
+
+
+def _block_diagonal(seed):
+    """2-3 random blocks of size 1-4 and rank 1-4 on randomly permuted coordinates.
+
+    Returns the blocks, the coordinates each occupies, the whole model and
+    bounds, a fifth of them infinite on one side.
+    """
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for _ in range(int(rng.integers(2, 4))):
+        size = int(rng.integers(1, 5))
+        blocks.append(random_correlation(size, int(rng.integers(1, size + 1)),
+                                         int(rng.integers(2**31))))
+    n = sum(b.size for b in blocks)
+    perm, sigma, parts = rng.permutation(n), np.zeros((n, n)), []
+    for b in blocks:
+        idx = perm[sum(p.size for p in parts):][:b.size]
+        sigma[np.ix_(idx, idx)] = b.sigma
+        parts.append(idx)
+    lower, upper = -rng.uniform(0.3, 2.0, n), rng.uniform(0.3, 2.0, n)
+    side = rng.random(n)
+    lower[side < 0.1] = -np.inf
+    upper[side > 0.9] = np.inf
+    return blocks, parts, from_covariance(sigma), lower, upper
+
+
+class TestBlockFactorization:
+    """rect_prob measures the independent blocks of a model separately and multiplies."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_property(self, seed):
+        blocks, parts, model, lower, upper = _block_diagonal(seed)
+        # Coordinates without a nonzero correlation form one group.
+        alone = [idx for idx in parts if idx.size == 1]
+        expect = [set(idx) for idx in parts if idx.size > 1]
+        expect += [set(np.concatenate(alone))] if alone else []
+        groups = mvnprob._components(model.sigma)
+        assert sorted(map(sorted, map(set, groups))) == sorted(map(sorted, expect))
+        whole = rect_prob(model, lower, upper, budget=2000, seed=seed)
+        parts_est = [rect_prob(b, lower[idx], upper[idx], budget=2000, seed=seed + k + 1)
+                     for k, (b, idx) in enumerate(zip(blocks, parts))]
+        prod = parts_est[0]
+        for est in parts_est[1:]:
+            prod = prod.times(est)
+        assert abs(whole.value - prod.value) <= 3 * (whole.stderr + prod.stderr) + 1e-12
+        if all(b.dim <= 2 for b in blocks):
+            assert abs(whole.value - prod.value) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_qmc_engine_on_the_unfactored_product_model(self, seed):
+        # The cross-check tensorize_check made before blocks were factored.
+        big = product_model(random_correlation(5, 3, seed), 2)
+        c = np.tile(np.linspace(0.8, 1.6, 5), 2)
+        factored = rect_prob(big, -c, c, budget=2 ** 14, seed=seed)
+        direct = mvnprob._qmc_rect_prob(big.sigma, -c, c, 2 ** 14, seed + 10)
+        assert factored.method == direct.method == "qmc"
+        diff = factored.minus(direct)
+        assert abs(diff.value) <= 3 * diff.stderr
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_against_scipy_on_the_whole_covariance(self, seed):
+        rng = np.random.default_rng(seed)
+        first, second = random_correlation(2, 2, seed), random_correlation(3, 3, seed + 20)
+        sigma = np.zeros((5, 5))
+        sigma[:2, :2], sigma[2:, 2:] = first.sigma, second.sigma
+        perm = rng.permutation(5)
+        sigma = sigma[np.ix_(perm, perm)]
+        lower, upper = -rng.uniform(0.5, 2.0, 5), rng.uniform(0.5, 2.0, 5)
+        upper[int(rng.integers(5))] = np.inf
+        est = rect_prob(from_covariance(sigma), lower, upper, budget=2 ** 14, seed=seed)
+        expect = oracles.mvn_rect_prob(sigma, lower, upper, tol=1e-7)
+        assert abs(est.value - expect) <= 3 * est.stderr + 2e-7
+
+    def test_provenance(self):
+        rank_two, one_factor = random_correlation(3, 2, 1), equicorrelated(3, 0.5)
+        rank_three = random_correlation(4, 3, 2)
+
+        def joined(*models):
+            n = sum(m.size for m in models)
+            sigma, at = np.zeros((n, n)), 0
+            for m in models:
+                sigma[at:at + m.size, at:at + m.size] = m.sigma
+                at += m.size
+            return from_covariance(sigma), -np.full(n, 1.1), np.full(n, 1.3)
+
+        cases = [((rank_two, rank_two), "quadrature-oracle"),
+                 ((one_factor, rank_two), "one-factor"),
+                 ((rank_two, rank_three, one_factor), "qmc")]
+        for models, method in cases:
+            model, lower, upper = joined(*models)
+            est = rect_prob(model, lower, upper, budget=4096, seed=5)
+            sizes = np.cumsum([0] + [m.size for m in models])
+            kids = mvnprob._children(np.random.SeedSequence(5), len(models))
+            alone = [rect_prob(m, lower[a:b], upper[a:b], budget=4096, seed=kid)
+                     for m, a, b, kid in zip(models, sizes, sizes[1:], kids)]
+            assert (est.method, est.seed) == (method, 5)
+            assert est.samples == sum(e.samples for e in alone)
+            assert abs(est.value - math.prod(e.value for e in alone)) <= 1e-15
+            ss = np.random.SeedSequence(5)
+            assert rect_prob(model, lower, upper, budget=4096, seed=ss) == \
+                mvnprob.Estimate(est.value, est.stderr, est.samples, method, None)
+
+    def test_identical_blocks_are_measured_once(self):
+        base = random_correlation(4, 3, 1)
+        c = np.array([0.9, 1.4, 1.1, 0.7])
+        est = rect_prob(product_model(base, 3), -np.tile(c, 3), np.tile(c, 3),
+                        budget=4096, seed=2)
+        first = rect_prob(base, -c, c, budget=4096,
+                          seed=mvnprob._children(np.random.SeedSequence(2), 3)[0])
+        assert (est.value, est.samples, est.method) == (first.value ** 3, first.samples, "qmc")
+        assert est.stderr == 3 * first.value ** 2 * first.stderr
+
+    def test_single_component_models_are_unchanged(self):
+        # The Estimates of the code before blocks were factored, in all five fields.
+        lower = np.array([-1.0, -0.5, -np.inf, -1.2, -0.8])
+        upper = np.array([1.0, 1.5, 0.8, np.inf, 0.9])
+        dense = rect_prob(random_correlation(5, 4, 7), lower, upper, budget=4096, seed=3)
+        identity = rect_prob(from_covariance(np.eye(5)), lower, upper, budget=4096, seed=3)
+        assert dense == mvnprob.Estimate(0.26752408057787663, 0.00010242948368754534, 4044,
+                                         "qmc", 3)
+        assert identity == mvnprob.Estimate(0.17967029473534882, 1e-15, 0, "qmc", 3)
+
+    def test_independent_coordinates_share_one_group(self):
+        sigma = np.eye(6)
+        sigma[1, 4] = sigma[4, 1] = 0.3
+        sigma[2, 5] = sigma[5, 2] = -0.6
+        groups = mvnprob._components(sigma)
+        assert [g.tolist() for g in groups] == [[0, 3], [1, 4], [2, 5]]
+        assert [g.tolist() for g in mvnprob._components(np.eye(4))] == [[0, 1, 2, 3]]
 
 
 def _random_rectangle(seed):
