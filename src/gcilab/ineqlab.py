@@ -612,7 +612,11 @@ def tensorize_check(model: CorrelationModel, s: ThresholdVector, t: ThresholdVec
     The strong-inequality ratio of the N-fold block-diagonal model with tiled
     thresholds must equal the base ratio to the N-th power (exactly, as a
     product-measure identity); the check passes when the estimates agree
-    within 3 combined standard errors.
+    within 3 combined standard errors. ``rect_prob`` factors the product
+    model into its N identical blocks and measures one of them, with another
+    seed child than the base ratio, so this checks the block factorization
+    and the error algebra; a model whose base ratio is exact (rank <= 2 or
+    one-factor) agrees to rounding.
     """
     if copies not in (2, 3):
         raise InvalidParameters("tensorization check supports N in {2, 3}")

@@ -3,7 +3,7 @@
 Everything here is deliberately built from primitives different from the
 package's estimation paths: raw adaptive quadrature of the Gaussian density,
 bisection inverses, brute-force convex hulls of pairwise vertex sums, the
-polar formula for the Gaussian measure of a planar polygon, and a hand-written
+polar formula for the Gaussian measure of a planar polygon, a hand-written
 phase-1 simplex for Minkowski-sum membership, and scipy's multivariate normal
 CDF on a whole, unfactored covariance.
 Expected values asserted in the tests are computed through these functions.
@@ -105,7 +105,7 @@ def one_factor_quad(lam, lower, upper, tol: float = 1e-12) -> float:
     return val
 
 
-def mvn_rect_prob(sigma, lower, upper, tol: float = 1e-8) -> float:
+def mvn_rect_prob(sigma, lower, upper, tol: float = 1e-7) -> float:
     """Pr(lower <= X <= upper) for X ~ N(0, sigma), sigma positive definite.
 
     ``scipy.stats.multivariate_normal.cdf`` (Genz-Bretz integration) on the
@@ -114,7 +114,7 @@ def mvn_rect_prob(sigma, lower, upper, tol: float = 1e-8) -> float:
     """
     sigma = np.asarray(sigma, dtype=float)
     mvn = multivariate_normal(np.zeros(sigma.shape[0]), sigma, abseps=tol, releps=0.0)
-    return float(mvn.cdf(np.asarray(upper, dtype=float), lower_limit=np.asarray(lower, dtype=float)))
+    return float(mvn.cdf(np.asarray(upper, dtype=float), lower_limit=np.asarray(lower)))
 
 
 def minkowski_vertices_bruteforce(p_vertices, q_vertices) -> np.ndarray:
