@@ -11,9 +11,6 @@ from .convexgeom import (
     HPolytope,
     Polygon2D,
     SymmetricBand,
-    band_intersect,
-    band_sum_outer,
-    contains,
     convex_hull_union,
     intersect_polygons,
     minkowski_contains,

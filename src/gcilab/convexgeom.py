@@ -1,16 +1,19 @@
 """Origin-symmetric convex bodies and their operations.
 
-Three representations share one toolbox:
+Three representations share one toolbox. Each body has a ``dim``, a
+``support`` function and one membership test, ``contains_many``, on an
+(m, dim) array of points with tolerance ``GEOM_TOL`` on every constraint.
 
 * ``SymmetricBand``: {y : |<y, u_i>| <= c_i} over a covariance model, in any
-  dimension. Intersections and outer Minkowski bounds act on thresholds
-  (min / sum), mirroring the support-function identities on shared normals.
+  dimension. Its intersections and outer Minkowski bounds are built on the
+  thresholds (``ThresholdVector.minimum`` / ``plus``) by the checkers.
 * ``Polygon2D``: exact centrally symmetric convex polygons with edge-merge
   Minkowski sums, convex hulls of unions, and halfplane clipping.
 * ``HPolytope``: general bounded halfspace intersections. For 1 <= d <= 4
   ``minkowski_sum`` builds the exact facet form of K + T (the interval sum in
   d = 1, Qhull above); for a single point, and so in d >= 5, sum membership
-  is one HiGHS feasibility LP (``minkowski_contains``).
+  is one HiGHS feasibility LP (``minkowski_contains``). ``measure.sum_body``
+  picks between the two.
 
 ``scipy.optimize`` and ``scipy.spatial`` are imported inside the functions
 that use them: they are most of the package's cold start, and most calls never
@@ -30,7 +33,6 @@ from .errors import (
     DimensionMismatch,
     InvalidDimension,
     MalformedInput,
-    ModelMismatch,
     NotSymmetric,
     SolverFailure,
 )
@@ -121,19 +123,12 @@ class Polygon2D:
     def box(cls, hx: float, hy: float) -> "Polygon2D":
         return cls.from_points([[hx, hy], [-hx, hy], [-hx, -hy], [hx, -hy]])
 
-    @classmethod
-    def diamond(cls, r: float) -> "Polygon2D":
-        return cls.from_points([[r, 0.0], [0.0, r], [-r, 0.0], [0.0, -r]])
-
-    @classmethod
-    def regular(cls, sides: int, radius: float, phase: float = 0.0) -> "Polygon2D":
-        if sides % 2:
-            raise NotSymmetric("a centrally symmetric regular polygon needs even sides")
-        ang = phase + 2.0 * np.pi * np.arange(sides) / sides
-        return cls.from_points(radius * np.column_stack([np.cos(ang), np.sin(ang)]))
-
     def __len__(self) -> int:
         return self.vertices.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return 2
 
     def transformed(self, matrix) -> "Polygon2D":
         """Image under an invertible linear map."""
@@ -153,13 +148,6 @@ class Polygon2D:
         normals /= np.linalg.norm(normals, axis=1)[:, None]
         offsets = np.einsum("ij,ij->i", normals, v)
         return normals, offsets
-
-    def contains_point(self, point, tol: float = GEOM_TOL) -> bool:
-        p = np.asarray(point, dtype=float)
-        v = self.vertices
-        nxt = np.roll(v, -1, axis=0)
-        cr = (nxt[:, 0] - v[:, 0]) * (p[1] - v[:, 1]) - (nxt[:, 1] - v[:, 1]) * (p[0] - v[:, 0])
-        return bool(np.all(cr >= -tol))
 
     def contains_many(self, points: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
         normals, offsets = self.edge_normals()
@@ -290,52 +278,17 @@ class SymmetricBand:
         b = c[finite]
         return np.vstack([u, -u]), np.concatenate([b, b])
 
-    def contains_point(self, point, tol: float = GEOM_TOL) -> bool:
-        p = np.asarray(point, dtype=float)
-        if p.shape != (self.dim,):
-            raise DimensionMismatch("point dimension must match the band")
-        proj = np.abs(self.model.factor_rows @ p)
-        return bool(np.all(proj <= self.c.as_array + tol))
-
     def contains_many(self, points: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
         proj = np.abs(points @ self.model.factor_rows.T)
         return np.all(proj <= self.c.as_array + tol, axis=1)
 
     def support(self, direction) -> float:
+        """h(u) by one LP; no caller in the package, kept as a traced target of perfbench."""
         u = np.asarray(direction, dtype=float)
         a, b = self.finite_halfspaces()
         if a.shape[0] == 0:
             return np.inf
         return _support_lp(a, b, u)
-
-
-def band_intersect(k: SymmetricBand, t: SymmetricBand) -> SymmetricBand:
-    """Intersection: componentwise minimum of thresholds on the shared model."""
-    _require_same_model(k, t)
-    return SymmetricBand(k.model, k.c.minimum(t.c))
-
-
-def band_sum_outer(k: SymmetricBand, t: SymmetricBand) -> SymmetricBand:
-    """Outer bound of K + T: componentwise threshold sums (inf absorbs).
-
-    Contains the Minkowski sum; exact whenever the band normals exhaust the
-    sum's facet normals.
-    """
-    _require_same_model(k, t)
-    return SymmetricBand(k.model, k.c.plus(t.c))
-
-
-def _require_same_model(k: SymmetricBand, t: SymmetricBand) -> None:
-    if k.model is t.model:
-        return
-    same = (
-        k.model.sigma.shape == t.model.sigma.shape
-        and np.allclose(k.model.sigma, t.model.sigma, atol=GEOM_TOL)
-        and k.model.factor_rows.shape == t.model.factor_rows.shape
-        and np.allclose(k.model.factor_rows, t.model.factor_rows, atol=GEOM_TOL)
-    )
-    if not same:
-        raise ModelMismatch("band operands must share the same model")
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +346,6 @@ class HPolytope:
         d = hw.shape[0]
         return cls.symmetric(np.eye(d), hw, check_bounded=False)
 
-    @classmethod
-    def weighted_l1_ball(cls, weights, radius: float) -> "HPolytope":
-        """{y : sum_i w_i |y_i| <= radius} via all sign patterns of the weights."""
-        w = np.atleast_1d(np.asarray(weights, dtype=float))
-        d = w.shape[0]
-        rows = [np.asarray(signs) * w for signs in _iterproduct((1.0, -1.0), repeat=d)]
-        return cls.from_halfspaces(rows, np.full(len(rows), float(radius)))
-
     @property
     def dim(self) -> int:
         return self.normals.shape[1]
@@ -430,12 +375,6 @@ class HPolytope:
         """Every coordinate sign flip of every normal is present with equal offset."""
         return self._closed_under(_iterproduct((1.0, -1.0), repeat=self.dim))
 
-    def contains_point(self, point, tol: float = GEOM_TOL) -> bool:
-        p = np.asarray(point, dtype=float)
-        if p.shape != (self.dim,):
-            raise DimensionMismatch("point dimension must match the polytope")
-        return bool(np.all(self.normals @ p <= self.offsets + tol))
-
     def contains_many(self, points: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
         return np.all(points @ self.normals.T <= self.offsets + tol, axis=1)
 
@@ -447,12 +386,6 @@ class HPolytope:
             raise DimensionMismatch("polytopes live in different dimensions")
         return HPolytope(np.vstack([self.normals, other.normals]),
                          np.concatenate([self.offsets, other.offsets]))
-
-    def to_polygon(self) -> Polygon2D:
-        """Vertex form in 2-D."""
-        if self.dim != 2:
-            raise DimensionMismatch("vertex conversion is only available in 2-D")
-        return Polygon2D.from_points(polytope_vertices(self))
 
 
 def _support_lp(a: np.ndarray, b: np.ndarray, direction: np.ndarray) -> float:
@@ -489,16 +422,6 @@ def random_unconditional_hpolytope(rng, dim: int = 2, extra: int = 2) -> HPolyto
 # ---------------------------------------------------------------------------
 # Shared operations
 # ---------------------------------------------------------------------------
-
-def contains(body, point) -> bool:
-    """Membership with tolerance 1e-12 on every constraint."""
-    p = np.asarray(point, dtype=float)
-    expected = 2 if isinstance(body, Polygon2D) else body.dim
-    if p.shape != (expected,):
-        raise DimensionMismatch(f"point must live in R^{expected}")
-    _require_finite(p, "point")
-    return body.contains_point(p)
-
 
 def polytope_vertices(body: HPolytope) -> np.ndarray:
     """Vertices of a bounded H-polytope by Qhull halfspace intersection.

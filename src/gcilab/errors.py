@@ -41,10 +41,6 @@ class DimensionTooLarge(GciLabError):
     """Deterministic quadrature oracle only covers factor dimension <= 3."""
 
 
-class ModelMismatch(GciLabError):
-    """Band operation combined bodies built over different models."""
-
-
 class DegenerateInput(GciLabError):
     """Geometric input collapses (too few vertices, unbounded polytope)."""
 

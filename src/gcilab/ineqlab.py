@@ -29,15 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convexgeom import (
-    EXACT_SUM_DIMS,
     HPolytope,
     Polygon2D,
     SymmetricBand,
     clip_halfplane,
     convex_hull_union,
     intersect_polygons,
-    minkowski_contains,
-    minkowski_sum,
     polygon_minkowski_sum,
 )
 from .errors import (
@@ -47,7 +44,7 @@ from .errors import (
     PremiseViolated,
 )
 from .gaussmodel import CorrelationModel, ThresholdVector, product_model
-from .measure import _body_dim, gauss_measure_mc, minkowski_measure_mc
+from .measure import gauss_measure_mc, minkowski_measure_mc, sum_body
 from .mvnprob import (
     METHOD_ORACLE,
     ORACLE_TOL,
@@ -188,7 +185,7 @@ def _measure(body, budget: int, seed) -> Estimate:
     if isinstance(body, tuple):
         k, t = body
         return minkowski_measure_mc(k, t, budget, seed)
-    if _body_dim(body) <= 2:
+    if body.dim <= 2:
         normals, offsets = (body.edge_normals() if isinstance(body, Polygon2D)
                             else (body.normals, body.offsets))
         value = oracle_region_prob(normals, np.full(len(offsets), -np.inf), offsets)
@@ -437,10 +434,9 @@ def check_lattice_premise(k: HPolytope, t: HPolytope, samples: int = 1000,
     """Coordinatewise lattice premise for unconditional bodies.
 
     For x in K and y in T in the positive orthant, the meet x ^ y must lie in
-    K inter T and the join x v y in K + T. Joins are tested against the exact
-    facet form ``minkowski_sum(k, t)`` for d in ``EXACT_SUM_DIMS`` (1 to 4),
-    and for d >= 5 one by one with the HiGHS feasibility LP of
-    ``minkowski_contains``. Any failure raises ``PremiseViolated``:
+    K inter T and the join x v y in K + T. Joins are tested with
+    ``measure.sum_body(k, t).contains_many``, the membership test that
+    ``minkowski_measure_mc`` samples. Any failure raises ``PremiseViolated``:
     the premise is a consequence of unconditionality, so a failure means the
     geometry code is wrong.
     """
@@ -460,10 +456,7 @@ def check_lattice_premise(k: HPolytope, t: HPolytope, samples: int = 1000,
     if not np.all(ok_meet):
         bad = meets[~ok_meet][0]
         raise PremiseViolated(f"meet point {bad.tolist()} escaped K inter T")
-    if k.dim in EXACT_SUM_DIMS:
-        ok_join = minkowski_sum(k, t).contains_many(joins)
-    else:
-        ok_join = np.array([minkowski_contains(k, t, j) for j in joins])
+    ok_join = sum_body(k, t).contains_many(joins)
     if not np.all(ok_join):
         bad = joins[~ok_join][0]
         raise PremiseViolated(f"join point {bad.tolist()} escaped K + T")
@@ -699,9 +692,10 @@ def _band_family(x, budget, key):
     t = ThresholdVector(np.exp(np.clip(x[3:], lo, hi)))
     from .gaussmodel import random_correlation
 
-    model = random_correlation(3, 2, 20_000 + key % 1000)
+    model_seed = 20_000 + key % 1000
+    model = random_correlation(3, 2, model_seed)
     rep = check_strong_gci_bands(model, s, t, budget, key)
-    return rep.margin, rep.stderr, {"s": s.as_array, "t": t.as_array}
+    return rep.margin, rep.stderr, {"s": s.as_array, "t": t.as_array, "model_seed": model_seed}
 
 
 _FAMILY_SETUP = {
@@ -722,7 +716,8 @@ def search_counterexample(family: str, steps: int, budget: int = 1 << 14,
     evaluations per restart; ``steps == 1`` just scores the canonical
     instance. Always returns the best instance found. The planar families
     ``hull-rectangles`` and ``rotated-boxes`` are exact, so their keys do nothing;
-    ``band-triples`` measures its rank-2 bands exactly too, so its key only picks the model.
+    ``band-triples`` measures its rank-2 bands exactly too, so its key only picks the model:
+    ``random_correlation(3, 2, best_params["model_seed"])``.
     """
     if family not in SEARCH_FAMILIES:
         raise InvalidParameters(f"unknown family {family!r}")

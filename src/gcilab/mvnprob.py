@@ -137,13 +137,23 @@ def inv_std_normal_cdf(p: float) -> float:
     return float(ndtri(p))
 
 
+def _interval_mass(a, b):
+    """Phi(b) - Phi(a), elementwise, for a <= b (either may be infinite).
+
+    An interval centred above 0 is taken as its mirror image, Phi(-a) - Phi(-b),
+    so upper-tail intervals keep the relative precision of lower-tail ones; a
+    symmetric interval is not flipped.
+    """
+    return ndtr(np.minimum(b, -a)) - ndtr(np.minimum(a, -b))
+
+
 def sym_interval_prob(c: float) -> float:
     """Pr(|Z| <= c) for standard normal Z; c may be +inf."""
     if c <= 0:
         return 0.0
     if math.isinf(c):
         return 1.0
-    return float(ndtr(c) - ndtr(-c))
+    return float(_interval_mass(-c, c))
 
 
 def _as_seed_sequence(seed) -> tuple[np.random.SeedSequence, int | None]:
@@ -443,17 +453,10 @@ def _gauss_legendre(edges, split: int = 1) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _one_factor_mass(z, weights, lo, hi, lam, counts) -> float:
-    """Sum over nodes z of weights * phi(z) prod_i Pr(lo_i <= lam_i z + s_i e_i <= hi_i)^count_i.
-
-    An interval centred above 0 is taken as Phi(-a) - Phi(-b), so upper-tail
-    intervals keep the relative precision of lower-tail ones.
-    """
+    """Sum over nodes z of weights * phi(z) prod_i Pr(lo_i <= lam_i z + s_i e_i <= hi_i)^count_i."""
     s = np.sqrt(1.0 - lam ** 2)[:, None]
     shift = lam[:, None] * z
-    a = (lo[:, None] - shift) / s
-    b = (hi[:, None] - shift) / s
-    flip = a + b > 0.0
-    probs = ndtr(np.where(flip, -a, b)) - ndtr(np.where(flip, -b, a))
+    probs = _interval_mass((lo[:, None] - shift) / s, (hi[:, None] - shift) / s)
     joint = np.prod(probs ** counts[:, None], axis=0)
     dens = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     return float(np.sum(weights * dens * joint))
@@ -699,8 +702,7 @@ def oracle_region_prob(rows, lower, upper) -> float:
         return 1.0
 
     if d == 1:
-        lo, hi = _interval_from_constraints(rows[:, 0], lower, upper)
-        value = ndtr(hi) - ndtr(lo)
+        value = _interval_mass(*_interval_from_constraints(rows[:, 0], lower, upper))
     elif d == 2:
         value = _plane_mass(rows, lower, upper)
     else:

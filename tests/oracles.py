@@ -4,9 +4,11 @@ Everything here is deliberately built from primitives different from the
 package's estimation paths: raw adaptive quadrature of the Gaussian density,
 bisection inverses, brute-force convex hulls of pairwise vertex sums, the
 polar formula for the Gaussian measure of a planar polygon, a hand-written
-phase-1 simplex for Minkowski-sum membership, and scipy's multivariate normal
-CDF on a whole, unfactored covariance.
+phase-1 simplex for Minkowski-sum membership, erfc tail differences, and
+scipy's multivariate normal CDF on a whole, unfactored covariance.
 Expected values asserted in the tests are computed through these functions.
+The test-body builders at the end only construct package bodies from explicit
+vertices or halfspaces; they compute no expected value.
 """
 
 import itertools
@@ -17,6 +19,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.spatial import ConvexHull
 from scipy.stats import multivariate_normal
+
+from gcilab.convexgeom import HPolytope, Polygon2D
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 LP_TOL = 1e-9           # simplex feasibility tolerance
@@ -80,6 +84,20 @@ def bivariate_rect_quad(rho: float, a, b, tol: float = 1e-10) -> float:
 
 def _phi_scalar(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def interval_prob_erfc(a: float, b: float) -> float:
+    """Phi(b) - Phi(a) for a <= b from erfc of the tails on either side.
+
+    Each tail is an erfc of a nonnegative argument, so an interval wholly in
+    the upper or the lower tail keeps its relative precision.
+    """
+    r2 = math.sqrt(2.0)
+    if a >= 0.0:
+        return 0.5 * (math.erfc(a / r2) - math.erfc(b / r2))
+    if b <= 0.0:
+        return 0.5 * (math.erfc(-b / r2) - math.erfc(-a / r2))
+    return 1.0 - 0.5 * (math.erfc(-a / r2) + math.erfc(b / r2))
 
 
 def one_factor_quad(lam, lower, upper, tol: float = 1e-12) -> float:
@@ -241,3 +259,30 @@ def phase1_feasible(g: np.ndarray, h: np.ndarray,
     else:
         raise RuntimeError(f"simplex iteration cap {max_iters} exceeded")
     return bool(-tableau[m, -1] <= tol)
+
+
+# ---------------------------------------------------------------------------
+# Test-body builders
+# ---------------------------------------------------------------------------
+
+def weighted_l1_ball(weights, radius: float) -> HPolytope:
+    """{y : sum_i w_i |y_i| <= radius} via all sign patterns of the weights."""
+    w = np.atleast_1d(np.asarray(weights, dtype=float))
+    rows = [np.asarray(signs) * w for signs in itertools.product((1.0, -1.0), repeat=w.size)]
+    return HPolytope.from_halfspaces(rows, np.full(len(rows), float(radius)))
+
+
+def hpolytope_to_polygon(body: HPolytope) -> Polygon2D:
+    """Vertex form of a 2-D H-polytope, from brute-force crossings of its edge lines."""
+    return Polygon2D.from_points(polygon_vertices_bruteforce(body.normals, body.offsets))
+
+
+def regular_polygon(sides: int, radius: float, phase: float = 0.0) -> Polygon2D:
+    """Regular polygon with an even number of sides on the circle of ``radius``."""
+    ang = phase + 2.0 * np.pi * np.arange(sides) / sides
+    return Polygon2D.from_points(radius * np.column_stack([np.cos(ang), np.sin(ang)]))
+
+
+def diamond(r: float) -> Polygon2D:
+    """{y : |y_1| + |y_2| <= r}."""
+    return Polygon2D.from_points([[r, 0.0], [0.0, r], [-r, 0.0], [0.0, -r]])

@@ -455,7 +455,7 @@ class TestUnconditional:
         assert rep.verdict != VIOLATED
 
     def test_l1_ball_and_box(self):
-        k = HPolytope.weighted_l1_ball([1.0, 0.7], 1.2)
+        k = oracles.weighted_l1_ball([1.0, 0.7], 1.2)
         t = HPolytope.axis_box([0.8, 1.5])
         rep = check_unconditional(k, t, budget=40_000, seed=2)
         assert rep.verdict in {SUPPORTED, INCONCLUSIVE}
@@ -503,7 +503,6 @@ class TestLatticePremise:
         def refuse(*args):
             raise AssertionError("minkowski_contains called")
 
-        monkeypatch.setattr(ineqlab, "minkowski_contains", refuse)
         monkeypatch.setattr(measure, "minkowski_contains", refuse)
         rng = np.random.default_rng(60 + dim)
         k = random_unconditional_hpolytope(rng, dim)
@@ -654,6 +653,14 @@ class TestSearch:
         res = search_counterexample("band-triples", steps=8, budget=2 ** 12, seed=3)
         assert math.isfinite(res.best_margin)
         assert res.best_margin >= -3 * res.best_stderr - 0.02
+
+    def test_band_family_result_rebuilds_from_its_params(self):
+        res = search_counterexample("band-triples", steps=8, budget=2 ** 12, seed=3)
+        params = res.best_params
+        model = random_correlation(3, 2, params["model_seed"])
+        rep = check_strong_gci_bands(model, ThresholdVector(params["s"]),
+                                     ThresholdVector(params["t"]), budget=2 ** 12, seed=0)
+        assert rep.margin == res.best_margin  # rank-2 bands are measured exactly
 
     def test_rotated_boxes_family_runs(self):
         res = search_counterexample("rotated-boxes", steps=4, budget=12_000, seed=4)

@@ -11,6 +11,7 @@ from gcilab.convexgeom import (
     HPolytope,
     Polygon2D,
     SymmetricBand,
+    minkowski_sum,
     random_symmetric_polygon,
     random_unconditional_hpolytope,
 )
@@ -21,6 +22,7 @@ from gcilab.measure import (
     gauss_measure_band,
     gauss_measure_mc,
     minkowski_measure_mc,
+    sum_body,
 )
 from gcilab.mvnprob import oracle_region_prob
 
@@ -50,7 +52,7 @@ class TestGaussMeasureBand:
 
 class TestGaussMeasureMc:
     def test_disk_closed_form(self):
-        disk = Polygon2D.regular(256, 2.0)
+        disk = oracles.regular_polygon(256, 2.0)
         est = gauss_measure_mc(disk, 200_000, 5)
         expect = 1.0 - math.exp(-2.0)
         assert abs(est.value - expect) <= 3 * est.stderr + 1e-3
@@ -90,7 +92,7 @@ class TestMcChunking:
         k2, t2 = random_unconditional_hpolytope(rng, 2), random_unconditional_hpolytope(rng, 2)
         poly = random_symmetric_polygon(rng)
         # screened path, d = 5: a thin shell keeps the membership LPs few
-        k5 = HPolytope.weighted_l1_ball([1.0, 0.8, 0.6, 0.9, 1.2], 2.0)
+        k5 = oracles.weighted_l1_ball([1.0, 0.8, 0.6, 0.9, 1.2], 2.0)
         t5 = HPolytope.axis_box(np.full(5, 1e-4))
 
         def estimates():
@@ -122,7 +124,7 @@ class TestMinkowskiMeasureMc:
     def test_screen_costs_one_support_lp_per_facet(self, monkeypatch):
         # Along its own facet normal a body's support is at most the offset,
         # so only the other body's support needs an LP.
-        k = HPolytope.weighted_l1_ball([1.0, 0.8, 0.6, 0.9, 1.2], 2.0)
+        k = oracles.weighted_l1_ball([1.0, 0.8, 0.6, 0.9, 1.2], 2.0)
         t = HPolytope.axis_box([1e-4] * 5)
         calls = []
         support_lp = convexgeom._support_lp
@@ -152,9 +154,42 @@ class TestMinkowskiMeasureMc:
         ms = minkowski_measure_mc(k, t, 50_000, 7)
         from gcilab.convexgeom import polygon_minkowski_sum
 
-        s = polygon_minkowski_sum(k.to_polygon(), t.to_polygon())
+        s = polygon_minkowski_sum(oracles.hpolytope_to_polygon(k),
+                                  oracles.hpolytope_to_polygon(t))
         mc = gauss_measure_mc(s, 100_000, 8)
         assert abs(ms.value - mc.value) <= 3 * _combined(ms, mc)
+
+
+class TestSumBody:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_exact_dims_give_the_facet_form(self, dim):
+        rng = np.random.default_rng(70 + dim)
+        k, t = random_unconditional_hpolytope(rng, dim), random_unconditional_hpolytope(rng, dim)
+        body, exact = sum_body(k, t), minkowski_sum(k, t)
+        assert isinstance(body, HPolytope) and body.dim == dim
+        np.testing.assert_array_equal(body.normals, exact.normals)
+        np.testing.assert_array_equal(body.offsets, exact.offsets)
+
+    def test_screened_sum_agrees_with_simplex_oracle(self, monkeypatch):
+        # d = 5 through all three rules: in K or T, screened out, and one LP each.
+        rng = np.random.default_rng(905)
+        k = random_unconditional_hpolytope(rng, 5, extra=1)
+        t = random_unconditional_hpolytope(rng, 5, extra=1)
+        solved = []
+        lp = measure.minkowski_contains
+        monkeypatch.setattr(measure, "minkowski_contains",
+                            lambda *args: solved.append(args) or lp(*args))
+        pts = rng.standard_normal((300, 5))
+        body = sum_body(k, t)
+        assert body.dim == 5
+        got = body.contains_many(pts)
+        in_summand = int(np.count_nonzero(k.contains_many(pts) | t.contains_many(pts)))
+        assert in_summand > 0 and 0 < len(solved) < len(pts) - in_summand
+        for p, inside in zip(pts, got):
+            # The probe 1e-7 further along the ray from the origin lies on the
+            # side of the boundary that `got` claims, unless p is within 1e-7 of it.
+            probe = p * (1.0 - 1e-7 if inside else 1.0 + 1e-7)
+            assert oracles.minkowski_contains_simplex(k, t, probe) == inside
 
 
 class TestFiberMeasure:
@@ -179,6 +214,14 @@ class TestFiberMeasure:
         f = fiber_measure(band, 0.5)
         assert abs(f.value - oracles.sym_prob_quad(2.0)) <= 1e-9
         assert fiber_measure(band, 1.5).value == 0.0
+
+    @pytest.mark.parametrize("lo, hi", [(8.0, 9.0), (5.0, 40.0)])
+    def test_one_sided_slices_keep_relative_precision(self, lo, hi):
+        # slices at s = +-1 of the parallelogram with vertices +-(1, lo), +-(1, hi)
+        p = Polygon2D.from_points([[1.0, lo], [1.0, hi], [-1.0, -lo], [-1.0, -hi]])
+        expect = oracles.interval_prob_erfc(lo, hi)
+        assert fiber_measure(p, 1.0).value == pytest.approx(expect, rel=1e-12)
+        assert fiber_measure(p, -1.0).value == pytest.approx(expect, rel=1e-12)
 
     def test_band_dimension_guard(self):
         model = random_correlation(3, 3, 1)

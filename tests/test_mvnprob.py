@@ -590,6 +590,16 @@ class TestOracle:
         est = rect_prob(m, [-1, -1], [1, 1])
         assert abs(est.value - oracles.sym_prob_quad(1.0) ** 2) <= 1e-7
 
+    @pytest.mark.parametrize("lo, hi", [(8.0, 9.0), (-9.0, -8.0), (5.0, 40.0)])
+    def test_one_sided_intervals_keep_relative_precision(self, lo, hi):
+        # Phi(9) - Phi(8) in floating point is 6.66e-16, 7% above the true 6.22e-16.
+        expect = oracles.interval_prob_erfc(lo, hi)
+        assert oracle_region_prob([[1.0]], [lo], [hi]) == pytest.approx(expect, rel=1e-12)
+        rank_one = from_covariance(np.ones((2, 2)))  # X_1 = X_2
+        est = rect_prob(rank_one, [lo, -np.inf], [hi, np.inf])
+        assert est.method == "quadrature-oracle"
+        assert est.value == pytest.approx(expect, rel=1e-12)
+
     def test_method_tag_and_stderr(self):
         m = from_covariance(np.eye(1))
         est = rect_prob(m, [-1], [1])
