@@ -19,7 +19,10 @@ cube integral is evaluated on randomly shifted rank-1 lattices with tent
 periodization.
 Replicated randomizations supply a standard error. Infinite bounds are exact
 (the CDF is evaluated symbolically at +-inf, never truncated), and
-rank-deficient covariances are handled without regularization.
+rank-deficient covariances are handled without regularization. The lattice
+points are evaluated in chunks of at most ``QMC_CHUNK`` points, on a pool of
+two threads when a call has two or more chunks (the normal primitives
+release the interpreter lock); every estimate is the same as on one thread.
 
 The deterministic oracle ``oracle_region_prob`` covers factor dimension d <= 3
 and is the independent cross-check for the sampling engine at d = 3: a planar
@@ -29,13 +32,17 @@ first factor integrates such layers.
 
 ``scipy.integrate`` is imported inside the d = 3 oracle branch, the one place
 that uses it: it pulls in ``scipy.optimize``, which together with it is most of
-the package's cold start, and most calls never reach that branch.
+the package's cold start, and most calls never reach that branch. For the
+same reason ``concurrent.futures`` is imported when the thread pool is first
+needed.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -68,7 +75,10 @@ QMC_STDERR_FLOOR = 1e-15  # accumulated representation rounding of the estimate
 QUAD_CLIP = 9.0          # |x| > 9 carries mass < 2e-19, below every tolerance
 DEGENERATE_SLACK = 1e-9  # membership slack of a candidate vertex of a d = 3 region
 ZERO_COEF = 1e-13        # loadings of the conditioning factor, on the correlation scale
-QMC_BLOCK = 1 << 17      # coordinates (n x points) per kernel call: 1 MB per array
+# Lattice points per kernel call, so its arrays stay cache-sized. A power of 2: BLAS
+# matrix-vector kernels round the last few points of a call (points mod their
+# unroll) on a separate path, so a split run of another length could move bits.
+QMC_CHUNK = 1 << 13
 ORACLE_BLOCK = 1 << 21   # entries per (vertex x row) array of the d = 3 vertex search: 16 MB
 PLANE_BOX = 40.0         # planar regions are cut to |y|_inf <= 40: the mass outside is < 1e-300
 LINE_TOL = 1e-12         # sine below which two boundary lines of a planar region are parallel
@@ -280,7 +290,9 @@ def _genz_product(ell, plan, a, b, w):
     """Sequential-conditioning integrand over uniforms w of shape (..., m, npts); plan from ell.
 
     Leading axes are a batch: each (m, npts) slice gets the same matrix-vector
-    products it would get alone, so its values do not depend on the batch.
+    products it would get alone, so its values do not depend on the batch. A
+    run of points cut from a row at multiples of ``QMC_CHUNK`` gets the values
+    those points get in the whole row, so they do not depend on the chunk.
     """
     n = ell.shape[0]
     shape = w.shape[:-2] + w.shape[-1:]
@@ -613,13 +625,16 @@ def _qmc_rect_prob(corr: np.ndarray, lower, upper, budget: int, seed) -> Estimat
     so the fast CBC construction applies; a tent transform periodizes the
     integrand). Replicate r is shifted by uniforms drawn from the r-th child
     of `seed` (``_children``, which leaves a ``SeedSequence`` argument
-    unchanged). The integrand is evaluated on blocks of whole replicates of
-    at most ``QMC_BLOCK`` coordinates (n x points) each, and each replicate's
-    value is the mean over its own points. The standard error is the
-    replicate spread divided by sqrt(REPLICATES). Results are reproducible
-    from (seed, budget) alone and independent of the block size.
+    unchanged). The integrand is evaluated in chunks of at most
+    ``QMC_CHUNK`` points: whole replicates batched together when a replicate
+    has fewer points, runs of one replicate's points otherwise. Each chunk
+    does its own tent transform and writes its values into one (REPLICATES,
+    points) array, and each replicate's value is the mean over its own row.
+    A call with two or more chunks maps them over the thread pool
+    (``_pool``), in any order. The standard error is the replicate spread
+    divided by sqrt(REPLICATES). Results are reproducible from (seed, budget)
+    alone and independent of the chunk size and of the threads.
     """
-    n = corr.shape[0]
     ell, a, b = _conditioning_system(corr, lower, upper)
     plan = _transform_plan(ell)
     m = int(plan[2].sum())
@@ -635,18 +650,57 @@ def _qmc_rect_prob(corr: np.ndarray, lower, upper, budget: int, seed) -> Estimat
     base = np.outer(np.asarray(q), np.arange(1, per_replicate + 1))
     shifts = np.stack([np.random.default_rng(child).random(m)
                        for child in _children(seed_seq, REPLICATES)])  # (REPLICATES, m)
-    block = max(1, QMC_BLOCK // (n * per_replicate))
-    values = np.empty(REPLICATES)
-    for r in range(0, REPLICATES, block):
-        z = base + shifts[r:r + block, :, None]  # (block, m, points)
+    batch = max(1, QMC_CHUNK // per_replicate)  # replicates per chunk
+    run = min(per_replicate, QMC_CHUNK)         # points per chunk
+    chunks = [(r, s) for r in range(0, REPLICATES, batch) for s in range(0, per_replicate, run)]
+    f = np.empty((REPLICATES, per_replicate))
+
+    def integrate(chunk):
+        r, s = chunk
+        z = base[:, s:s + run] + shifts[r:r + batch, :, None]  # (replicates, m, points)
         z -= np.floor(z)
         w = np.abs(2.0 * z - 1.0)  # tent periodization
-        values[r:r + block] = _genz_product(ell, plan, a, b, w).mean(axis=1)
+        f[r:r + batch, s:s + run] = _genz_product(ell, plan, a, b, w)
+
+    for _ in (_pool().map if len(chunks) > 1 else map)(integrate, chunks):
+        pass  # reading every result re-raises a chunk's exception
+    values = f.mean(axis=1)
     value = float(np.mean(values))
     stderr = max(float(np.std(values, ddof=1) / math.sqrt(REPLICATES)), QMC_STDERR_FLOOR)
     return Estimate(
         min(max(value, 0.0), 1.0), stderr, per_replicate * REPLICATES, METHOD_QMC, seed_int
     )
+
+
+_executor = None
+_executor_lock = threading.Lock()
+
+
+def _pool():
+    """The process's QMC thread pool, created on first use.
+
+    min(2, usable CPUs) workers. A forked child starts without it
+    (``_forget_pool``): the parent's worker threads do not exist there, so
+    work submitted to the inherited pool would never run.
+    """
+    global _executor
+    with _executor_lock:
+        if _executor is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            _executor = ThreadPoolExecutor(min(2, cpus), thread_name_prefix="gcilab-qmc")
+        return _executor
+
+
+def _forget_pool() -> None:
+    global _executor, _executor_lock
+    _executor, _executor_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only, like fork itself
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def symmetric_rect_prob(

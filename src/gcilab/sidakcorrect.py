@@ -20,11 +20,12 @@ from dataclasses import dataclass
 from .errors import NotStandardized, OutOfRange
 from .gaussmodel import CorrelationModel, ThresholdVector
 from .ineqlab import json_safe, sidak_ratio
-from .mvnprob import (Estimate, _as_seed_sequence, _children, inv_std_normal_cdf,
+from .mvnprob import (METHOD_QMC, Estimate, _as_seed_sequence, _children, inv_std_normal_cdf,
                       symmetric_rect_prob)
 
 A_GRID = tuple(0.05 * 2.0 ** j for j in range(9)) + (math.inf,)
 BISECTION_RESOLUTION = 1e-3
+ROOT_XTOL = 1e-9  # bracket width for the root of a deterministic coverage bound
 
 
 def sidak_critical_value(alpha: float, k: int) -> float:
@@ -143,18 +144,19 @@ def improved_critical_value(model: CorrelationModel, alpha: float,
                             budget: int = 1 << 14, seed=0) -> float:
     """Smallest c' whose certified coverage bound reaches 1 - alpha.
 
-    Bisection over [z_(alpha/2), c_classical] on the direct lower confidence
+    The root over [z_(alpha/2), c_classical] of the direct lower confidence
     bound of Pr(all |Y_i| <= c'). No widening is searched: A(a) <= A(0), so
     a widened factor times the marginals can exceed the direct bound only by
-    noise. On a model of rank <= 2 or a one-factor model (every
-    equicorrelation rho in (0, 1), see ``mvnprob.rect_prob``) the probability
-    is the deterministic planar oracle or one-factor integral, so the bound is
-    that value less ``SIGMAS`` * ``ORACLE_TOL`` and c' lies within the
-    resolution above the exact root. Other models are sampled:
-    every evaluation uses one integer key drawn from ``seed``, hence the same
-    lattice and shifts (common random numbers), so the bound is a fixed
-    function of c' and the bisection does not steer on fresh noise.
-    Falls back to the classical value, which always covers; resolution 1e-3.
+    noise. When the first evaluation is deterministic (method other than
+    ``qmc``: rank <= 2, one-factor, or a block product of these, see
+    ``mvnprob.rect_prob``), the bound is that value less ``SIGMAS`` *
+    ``ORACLE_TOL``, and ``_covering_root`` brackets its root to ``ROOT_XTOL``;
+    c' is the covering end of that bracket. Other models are sampled
+    and bisected to ``BISECTION_RESOLUTION``: every evaluation uses one
+    integer key drawn from ``seed``, hence the same lattice and shifts
+    (common random numbers), so the bound is a fixed function of c' and the
+    bisection does not steer on fresh noise. Falls back to the classical
+    value, which always covers.
     """
     _require_standardized(model)
     if not (0.0 < alpha < 1.0):
@@ -166,20 +168,55 @@ def improved_critical_value(model: CorrelationModel, alpha: float,
     hi = sidak_critical_value(alpha, n)
     lo = inv_std_normal_cdf(1.0 - alpha / 2.0)
 
-    def certified(value: float) -> float:
-        return symmetric_rect_prob(model, ThresholdVector.constant(n, value),
-                                   budget, key).lower_bound
+    def certified(value: float) -> Estimate:
+        return symmetric_rect_prob(model, ThresholdVector.constant(n, value), budget, key)
 
-    if certified(lo) >= target:
+    def gap(value: float) -> float:
+        return certified(value).lower_bound - target
+
+    first = certified(lo)
+    if first.lower_bound >= target:
         return lo
-    if certified(hi) < target:
+    gap_hi = gap(hi)
+    if gap_hi < 0.0:
         return hi  # conservative fallback: the classical value always covers
+    if first.method != METHOD_QMC:
+        return _covering_root(gap, lo, hi, first.lower_bound - target, gap_hi)
     while hi - lo > BISECTION_RESOLUTION:
         mid = 0.5 * (lo + hi)
-        if certified(mid) >= target:
+        if gap(mid) >= 0.0:
             hi = mid
         else:
             lo = mid
+    return hi
+
+
+def _covering_root(gap, lo: float, hi: float, gap_lo: float, gap_hi: float) -> float:
+    """Covering end of a bracket [lo, hi], gap(lo) < 0 <= gap(hi), shrunk to ``ROOT_XTOL``.
+
+    Regula falsi with the Illinois modification (Dowell & Jarratt 1971): the
+    end that stays put twice in a row has its gap halved, so both ends close
+    in superlinearly on an increasing gap. Every step keeps gap(hi) >= 0, so
+    the returned hi covers whatever the step count; at most 100 steps.
+    ``scipy.optimize.brentq`` would do as well, but importing
+    ``scipy.optimize`` adds about 21 MB to the process.
+    """
+    kept = 0  # +1: hi moved last, -1: lo moved last
+    for _ in range(100):
+        if hi - lo <= ROOT_XTOL or gap_hi == 0.0:
+            break
+        c = hi - gap_hi * (hi - lo) / (gap_hi - gap_lo)
+        g = gap(c)
+        if g >= 0.0:
+            hi, gap_hi = c, g
+            if kept == 1:
+                gap_lo *= 0.5
+            kept = 1
+        else:
+            lo, gap_lo = c, g
+            if kept == -1:
+                gap_hi *= 0.5
+            kept = -1
     return hi
 
 

@@ -1,7 +1,12 @@
 """Normal CDF primitives, the QMC rectangle engine, and the quadrature oracle."""
 
 import math
+import os
+import pickle
+import signal
 import time
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -478,7 +483,7 @@ class TestRectProbInvariance:
 
 
 class TestReplicateBlocks:
-    """Estimates do not depend on how many replicates share one kernel call."""
+    """Estimates do not depend on how the lattice is chunked or on the threads."""
 
     def test_block_size_invariance(self, monkeypatch):
         rank_deficient = random_correlation(6, 2, 3)  # dependent rows fold into free ones
@@ -487,7 +492,9 @@ class TestReplicateBlocks:
                  (rank_deficient, -np.full(6, 1.0), np.array([1.0, 2.0, np.inf, 0.5, 1.0, 1.5]),
                   1 << 14),
                  (random_correlation(12, 4, 4), -np.full(12, 1.5), np.full(12, 1.5), 1 << 14),
-                 (random_correlation(6, 6, 5), -np.full(6, 0.9), np.full(6, 1.3), 1 << 16)]
+                 (random_correlation(6, 6, 5), -np.full(6, 0.9), np.full(6, 1.3), 1 << 16),
+                 (random_correlation(48, 8, 6), -np.full(48, 2.0), np.full(48, 2.0), 1 << 16),
+                 (from_covariance(np.eye(4)), -np.full(4, 1.0), np.full(4, 2.0), 1 << 14)]
 
         def estimates():  # the QMC kernel itself: rect_prob sends the rank-2 cases to the oracle
             return [(e.value, e.stderr, e.samples) for e in
@@ -495,8 +502,80 @@ class TestReplicateBlocks:
                      for k, (m, lo, hi, budget) in enumerate(cases))]
 
         default = estimates()
-        monkeypatch.setattr(mvnprob, "QMC_BLOCK", 1)
+        assert default[-1][2] == 0  # m = 0: the product form samples nothing
+        # Split runs stay multiples of the BLAS matrix-vector unroll (see QMC_CHUNK):
+        # 256 cuts every 2^14 and 2^16 replicate, 3072 the 2^16 ones, and 2^20
+        # batches all twelve replicates into one call.
+        for chunk in (256, 3072, 1 << 20):
+            monkeypatch.setattr(mvnprob, "QMC_CHUNK", chunk)
+            assert estimates() == default
+        monkeypatch.setattr(mvnprob, "QMC_CHUNK", 256)
+        monkeypatch.setattr(mvnprob, "_pool", lambda: types.SimpleNamespace(map=map))
         assert estimates() == default
+
+
+class TestKernelPins:
+    """Kernel outputs pinned bit for bit, recorded before the lattice was chunked for threads."""
+
+    CASES = [  # model, lower, upper, budget, seed, value, stderr, samples
+        (random_correlation(3, 3, 0), [-1.0, -np.inf, -0.5], [1.2, 0.7, np.inf], 1 << 13, 0,
+         "0x1.bde92264edf1bp-2", "0x1.9157febed6e30p-17", 8124),
+        (random_correlation(4, 4, 1), -np.full(4, 1.1), np.full(4, 1.4), 1 << 16, 1,
+         "0x1.e88442eabd224p-2", "0x1.7d60f36e0b0ccp-22", 65388),
+        (random_correlation(6, 2, 3), -np.full(6, 1.0), [1.0, 2.0, np.inf, 0.5, 1.0, 1.5],
+         1 << 14, 2, "0x1.60adf35bf29efp-2", "0x1.172010323b449p-25", 16332),
+        (random_correlation(9, 3, 8), np.full(9, -np.inf), np.linspace(0.5, 2.0, 9), 1 << 16, 3,
+         "0x1.2eafefb57b1abp-2", "0x1.27ab3083dbafbp-19", 65388),
+        (random_correlation(12, 4, 4), -np.full(12, 1.5), np.full(12, 1.5), 1 << 14, 4,
+         "0x1.db31684a26191p-2", "0x1.6336f8bbb4cd0p-13", 16332),
+        (random_correlation(24, 6, 5), -np.linspace(1.0, 2.5, 24), np.full(24, 2.0), 1 << 15, 5,
+         "0x1.706c54331d97cp-2", "0x1.9179845fc22e7p-12", 32748),
+        (random_correlation(48, 8, 6), -np.full(48, 2.0), np.full(48, 2.0), 1 << 16, 6,
+         "0x1.d47685e2efc5fp-2", "0x1.c8b349306ac3ap-12", 65388),
+        (random_correlation(5, 5, 7), [-np.inf, -1.0, -np.inf, -0.3, -np.inf],
+         [0.8, np.inf, 1.1, 1.9, 0.4], 1 << 13, 7, "0x1.c2e9fd4fe0779p-3", "0x1.02a5930e34457p-15", 8124),
+        # 40,961 points a replicate: five runs of 2^13 and a last run of one point
+        (random_correlation(6, 4, 9), [-1.0, -np.inf, -0.7, -1.3, -2.0, -0.4],
+         [1.1, 0.9, np.inf, 1.3, 0.6, 1.8], 12 * 40961, 8,
+         "0x1.c6e62bc2e7dfcp-3", "0x1.dd7d20f0ca4acp-20", 491532),
+    ]
+
+    @pytest.mark.parametrize("k", range(len(CASES)))
+    def test_pinned_output(self, k):
+        model, lower, upper, budget, seed, value, stderr, samples = self.CASES[k]
+        est = mvnprob._qmc_rect_prob(model.sigma, np.asarray(lower, dtype=float),
+                                     np.asarray(upper, dtype=float), budget, seed)
+        assert (est.value, est.stderr, est.samples) == (
+            float.fromhex(value), float.fromhex(stderr), samples)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkSafety:
+    """A child forked after a threaded QMC call builds its own pool instead of hanging."""
+
+    def test_child_repeats_pooled_call(self):
+        model, c = random_correlation(5, 5, 2), np.full(5, 1.2)
+        est = rect_prob(model, -c, c, 1 << 16, 3)  # twelve chunks: the pool runs them
+        assert est.method == "qmc" and mvnprob._executor is not None
+        read, write = os.pipe()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads is the point
+            pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read)
+                signal.alarm(10)  # a child stuck on the parent's pool dies of SIGALRM
+                os.write(write, pickle.dumps(rect_prob(model, -c, c, 1 << 16, 3)))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        with os.fdopen(read, "rb") as pipe:
+            data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert pickle.loads(data) == est
 
 
 class TestOracleBlocks:

@@ -13,7 +13,8 @@ from gcilab.ineqlab import sidak_ratio
 from gcilab.gaussmodel import ThresholdVector
 from gcilab.mvnprob import oracle_region_prob
 from gcilab.sidakcorrect import (
-    BISECTION_RESOLUTION,
+    ROOT_XTOL,
+    _covering_root,
     correction_table,
     improved_confidence,
     improved_critical_value,
@@ -158,14 +159,14 @@ class TestImprovedCriticalValue:
             c_star = brentq(lambda c: coverage(c) - (1.0 - alpha),
                             0.5, sidak_critical_value(alpha, k) + 1.0, xtol=1e-10)
             assert coverage(cv) >= 1.0 - alpha
-            assert cv - c_star <= 5e-3
+            assert c_star <= cv <= c_star + 1e-5
 
     @pytest.mark.parametrize("alpha", [0.05, 0.1])
     @pytest.mark.parametrize("rho", [0.1, 0.5, 0.8])
     @pytest.mark.parametrize("k", [4, 8, 12])
     def test_equicorrelated_inversion_against_one_factor_oracle(self, k, rho, alpha):
         # Equicorrelated models take the exact one-factor rule, so c' is the
-        # bisection's upper end above the exact root c* and always covers.
+        # covering end of brentq's bracket just above the exact root c*.
         lam = np.full(k, math.sqrt(rho))
 
         def coverage(c):
@@ -174,5 +175,27 @@ class TestImprovedCriticalValue:
         cv = improved_critical_value(equicorrelated(k, rho), alpha, budget=2 ** 13, seed=k)
         c_star = brentq(lambda c: coverage(c) - (1.0 - alpha),
                         0.5, sidak_critical_value(alpha, k) + 1.0, xtol=1e-10)
-        assert c_star <= cv <= c_star + 2 * BISECTION_RESOLUTION
+        assert c_star <= cv <= c_star + 1e-5
         assert coverage(cv) >= 1.0 - alpha
+
+
+class TestCoveringRoot:
+    def test_smooth_gap_is_bracketed_tightly(self):
+        calls = []
+
+        def gap(c):
+            calls.append(c)
+            return math.erf(c) - 0.9
+
+        c = _covering_root(gap, 0.0, 3.0, gap(0.0), gap(3.0))
+        c_star = brentq(gap, 0.0, 3.0, xtol=1e-14)
+        assert gap(c) >= 0.0
+        assert abs(c - c_star) <= ROOT_XTOL
+        assert len(calls) < 30
+
+    def test_step_gap_still_returns_a_covering_end(self):
+        def gap(c):
+            return -1.0 if c < 1.0 else 1.0
+
+        c = _covering_root(gap, 0.0, 3.0, -1.0, 1.0)
+        assert 1.0 <= c <= 1.0 + ROOT_XTOL
