@@ -504,8 +504,8 @@ class TestReplicateBlocks:
         default = estimates()
         assert default[-1][2] == 0  # m = 0: the product form samples nothing
         # Split runs stay multiples of the BLAS matrix-vector unroll (see QMC_CHUNK):
-        # 256 cuts every 2^14 and 2^16 replicate, 3072 the 2^16 ones, and 2^20
-        # batches all twelve replicates into one call.
+        # 256 cuts every replicate into runs, 3072 cuts the 2^16 ones and pairs
+        # the 2^14 ones, and 2^20 batches all twelve replicates into one call.
         for chunk in (256, 3072, 1 << 20):
             monkeypatch.setattr(mvnprob, "QMC_CHUNK", chunk)
             assert estimates() == default
@@ -533,7 +533,8 @@ class TestKernelPins:
         (random_correlation(48, 8, 6), -np.full(48, 2.0), np.full(48, 2.0), 1 << 16, 6,
          "0x1.d47685e2efc5fp-2", "0x1.c8b349306ac3ap-12", 65388),
         (random_correlation(5, 5, 7), [-np.inf, -1.0, -np.inf, -0.3, -np.inf],
-         [0.8, np.inf, 1.1, 1.9, 0.4], 1 << 13, 7, "0x1.c2e9fd4fe0779p-3", "0x1.02a5930e34457p-15", 8124),
+         [0.8, np.inf, 1.1, 1.9, 0.4], 1 << 13, 7,
+         "0x1.c2e9fd4fe0779p-3", "0x1.02a5930e34457p-15", 8124),
         # 40,961 points a replicate: five runs of 2^13 and a last run of one point
         (random_correlation(6, 4, 9), [-1.0, -np.inf, -0.7, -1.3, -2.0, -0.4],
          [1.1, 0.9, np.inf, 1.3, 0.6, 1.8], 12 * 40961, 8,

@@ -166,7 +166,7 @@ class TestImprovedCriticalValue:
     @pytest.mark.parametrize("k", [4, 8, 12])
     def test_equicorrelated_inversion_against_one_factor_oracle(self, k, rho, alpha):
         # Equicorrelated models take the exact one-factor rule, so c' is the
-        # covering end of brentq's bracket just above the exact root c*.
+        # covering end of a bracket just above the exact root c*.
         lam = np.full(k, math.sqrt(rho))
 
         def coverage(c):
