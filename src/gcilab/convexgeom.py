@@ -157,20 +157,6 @@ class Polygon2D:
         u = np.asarray(direction, dtype=float)
         return float(np.max(self.vertices @ u))
 
-    def slice_vertical(self, s: float) -> tuple[float, float] | None:
-        """y-interval of the slice {y : (s, y) in polygon}; None when empty."""
-        v = self.vertices
-        nxt = np.roll(v, -1, axis=0)
-        ys: list[float] = []
-        for (x1, y1), (x2, y2) in zip(v, nxt):
-            if abs(x1 - s) <= GEOM_TOL:
-                ys.append(y1)
-            if (x1 - s) * (x2 - s) < 0:
-                ys.append(y1 + (s - x1) * (y2 - y1) / (x2 - x1))
-        if not ys:
-            return None
-        return float(min(ys)), float(max(ys))
-
 
 def polygon_minkowski_sum(p: Polygon2D, q: Polygon2D) -> Polygon2D:
     """Exact Minkowski sum by merging edge vectors in angular order."""

@@ -24,7 +24,7 @@ from .convexgeom import (
     minkowski_contains,  # shell test of _ScreenedSum; perfbench's tracer wraps it here
     minkowski_sum,
 )
-from .errors import BudgetTooSmall, DimensionMismatch
+from .errors import BudgetTooSmall, DimensionMismatch, InvalidParameters
 from .mvnprob import (
     METHOD_MC,
     METHOD_ORACLE,
@@ -112,31 +112,28 @@ def minkowski_measure_mc(k: HPolytope, t: HPolytope, budget: int, seed) -> Estim
     return gauss_measure_mc(sum_body(k, t), budget, seed)
 
 
-def _band_slice(band: SymmetricBand, s: float) -> tuple[float, float] | None:
-    rows = band.model.factor_rows
-    c = band.c.as_array
-    lo, hi = _interval_from_constraints(rows[:, 1], -c - rows[:, 0] * s, c - rows[:, 0] * s)
-    if hi <= lo:
-        return None
-    return lo, hi
-
-
 def fiber_measure(body, s: float) -> Estimate:
-    """gamma_1 of the slice {y : (s, y) in body} for 2-D bodies.
+    """gamma_1 of the slice {y : (s, y) in body} for 2-D bodies; s must be finite.
 
-    Slice endpoints come exactly from the polygon edges or band constraints
-    and the 1-D mass is the exact CDF difference, so the evaluation is
-    deterministic. An empty slice returns measure 0 rather than an error.
+    Both body types are constraints lower <= rows @ (s, y) <= upper: a
+    polygon's ``edge_normals`` below its offsets, a band's factor rows within
+    +-c. ``_interval_from_constraints`` gives the slice's ends exactly and the
+    1-D mass is the exact CDF difference, so the evaluation is deterministic.
+    An empty slice returns measure 0 rather than an error.
     """
+    s = float(s)
+    if not math.isfinite(s):
+        raise InvalidParameters(f"fiber abscissa must be finite, got {s}")
     if isinstance(body, Polygon2D):
-        interval = body.slice_vertical(float(s))
+        rows, upper = body.edge_normals()
+        lower = np.full(len(upper), -np.inf)
     elif isinstance(body, SymmetricBand):
         if body.dim != 2:
             raise DimensionMismatch("fiber measure is defined for 2-D bands")
-        interval = _band_slice(body, float(s))
+        rows, upper = body.model.factor_rows, body.c.as_array
+        lower = -upper
     else:
         raise DimensionMismatch("fiber measure expects a Polygon2D or 2-D band")
-    if interval is None:
-        return Estimate(0.0, FIBER_TOL, 0, METHOD_ORACLE, None)
-    value = float(_interval_mass(*interval))
+    lo, hi = _interval_from_constraints(rows[:, 1], lower - rows[:, 0] * s, upper - rows[:, 0] * s)
+    value = float(_interval_mass(lo, hi)) if lo < hi else 0.0
     return Estimate(value, FIBER_TOL, 0, METHOD_ORACLE, None)

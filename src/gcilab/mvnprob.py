@@ -27,14 +27,12 @@ release the interpreter lock); every estimate is the same as on one thread.
 The deterministic oracle ``oracle_region_prob`` covers factor dimension d <= 3
 and is the independent cross-check for the sampling engine at d = 3: a planar
 region's mass is a sum of Owen's T values over the edges an angle-sorted
-half-plane sweep finds, exact to rounding, and adaptive quadrature over the
-first factor integrates such layers.
+half-plane sweep finds, exact to rounding, and the Gauss-Legendre panels of
+the one-factor rule, broken at the vertices' first coordinates, integrate
+such layers over the first factor.
 
-``scipy.integrate`` is imported inside the d = 3 oracle branch, the one place
-that uses it: it pulls in ``scipy.optimize``, which together with it is most of
-the package's cold start, and most calls never reach that branch. For the
-same reason ``concurrent.futures`` is imported when the thread pool is first
-needed.
+``concurrent.futures`` is imported when the thread pool is first needed, so
+that calls that never use it do not pay for it at start-up.
 """
 
 from __future__ import annotations
@@ -122,9 +120,6 @@ class Estimate:
 
     def powered(self, n: int) -> Estimate:
         return Estimate(self.value ** n, n * abs(self.value) ** (n - 1) * self.stderr)
-
-    def scaled(self, factor: float) -> Estimate:
-        return Estimate(self.value * factor, self.stderr * abs(factor))
 
     def minus(self, other: Estimate) -> Estimate:
         """Difference of independent estimates: standard errors add in quadrature."""
@@ -734,10 +729,11 @@ def oracle_region_prob(rows, lower, upper) -> float:
     """Standard Gaussian mass of {y in R^d : lower <= rows @ y <= upper}, d <= 3.
 
     d = 1 is an exact CDF difference and d = 2 the exact planar rule
-    ``_plane_mass``. For d = 3 adaptive quadrature to ``ORACLE_TOL`` over y_1,
-    clipped to |y_1| <= 9 and broken at the vertices' first coordinates,
-    integrates planar layers. Rows must be finite (``NotFinite``), with one
-    bound pair each (``DimensionMismatch``), none NaN (``InvalidBounds``).
+    ``_plane_mass``. For d = 3 the planar layers are integrated over y_1,
+    clipped to |y_1| <= 9, on the 16-node Gauss-Legendre panels of the
+    one-factor rule (``_gauss_legendre``) with edges at the vertices' first
+    coordinates. Rows must be finite (``NotFinite``), with one bound pair each
+    (``DimensionMismatch``), none NaN (``InvalidBounds``).
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     d = rows.shape[1]
@@ -760,23 +756,17 @@ def oracle_region_prob(rows, lower, upper) -> float:
     elif d == 2:
         value = _plane_mass(rows, lower, upper)
     else:
-        from scipy.integrate import quad
-
         pure = np.all(rows[:, 1:] == 0.0, axis=1)
         x1lo, x1hi = _interval_from_constraints(rows[pure, 0], lower[pure], upper[pure])
         x1lo, x1hi = max(x1lo, -QUAD_CLIP), min(x1hi, QUAD_CLIP)
         if x1hi <= x1lo:
             return 0.0
         u, lo, hi = rows[~pure], lower[~pure], upper[~pure]
-
-        def layer(x1):
-            density = math.exp(-0.5 * x1 * x1) / math.sqrt(2.0 * math.pi)
-            return density * _plane_mass(u[:, 1:], lo - u[:, 0] * x1, hi - u[:, 0] * x1)
-
         kinks = _vertex_x1(rows, lower, upper)
-        kinks = kinks[(kinks > x1lo) & (kinks < x1hi)]
-        value, _ = quad(layer, x1lo, x1hi, points=kinks if kinks.size else None,
-                        epsabs=ORACLE_TOL * 0.3, limit=400 + kinks.size)
+        edges = np.concatenate([[x1lo], kinks[(kinks > x1lo) & (kinks < x1hi)], [x1hi]])
+        nodes, weights = _gauss_legendre(edges)
+        layers = [_plane_mass(u[:, 1:], lo - u[:, 0] * x1, hi - u[:, 0] * x1) for x1 in nodes]
+        value = np.sum(weights * np.exp(-0.5 * nodes * nodes) * layers) / math.sqrt(2.0 * math.pi)
     return float(min(max(value, 0.0), 1.0))
 
 
@@ -785,8 +775,9 @@ def _vertex_x1(rows, lower, upper) -> np.ndarray:
 
     A vertex is a feasible point where three constraint planes meet. Between
     these coordinates every planar layer keeps its combinatorial type, so the
-    layer mass is analytic in y_1 and adaptive quadrature can trust its error
-    estimate; across them it has kinks that can hide from that estimate.
+    layer mass is analytic in y_1 and a fixed Gauss-Legendre rule converges
+    fast on panels between them; across them it has kinks, so they are panel
+    edges.
     """
     if rows.shape[0] < 3:
         return np.zeros(0)

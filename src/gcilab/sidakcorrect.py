@@ -20,12 +20,10 @@ from dataclasses import dataclass
 from .errors import NotStandardized, OutOfRange
 from .gaussmodel import CorrelationModel, ThresholdVector
 from .ineqlab import json_safe, sidak_ratio
-from .mvnprob import (METHOD_QMC, Estimate, _as_seed_sequence, _children, inv_std_normal_cdf,
-                      symmetric_rect_prob)
+from .mvnprob import Estimate, _as_seed_sequence, _children, inv_std_normal_cdf, symmetric_rect_prob
 
 A_GRID = tuple(0.05 * 2.0 ** j for j in range(9)) + (math.inf,)
-BISECTION_RESOLUTION = 1e-3
-ROOT_XTOL = 1e-9  # bracket width for the root of a deterministic coverage bound
+ROOT_XTOL = 1e-9  # bracket width for the root of the coverage bound
 
 
 def sidak_critical_value(alpha: float, k: int) -> float:
@@ -147,16 +145,14 @@ def improved_critical_value(model: CorrelationModel, alpha: float,
     The root over [z_(alpha/2), c_classical] of the direct lower confidence
     bound of Pr(all |Y_i| <= c'). No widening is searched: A(a) <= A(0), so
     a widened factor times the marginals can exceed the direct bound only by
-    noise. When the first evaluation is deterministic (method other than
-    ``qmc``: rank <= 2, one-factor, or a block product of these, see
-    ``mvnprob.rect_prob``), the bound is that value less ``SIGMAS`` *
-    ``ORACLE_TOL``, and ``_covering_root`` brackets its root to ``ROOT_XTOL``;
-    c' is the covering end of that bracket. Other models are sampled
-    and bisected to ``BISECTION_RESOLUTION``: every evaluation uses one
-    integer key drawn from ``seed``, hence the same lattice and shifts
-    (common random numbers), so the bound is a fixed function of c' and the
-    bisection does not steer on fresh noise. Falls back to the classical
-    value, which always covers.
+    noise. Every evaluation uses one integer key drawn from ``seed``: a
+    deterministic model (rank <= 2, one-factor, or a block product of these,
+    see ``mvnprob.rect_prob``) ignores it and its bound is the value less
+    ``SIGMAS`` * ``ORACLE_TOL``; a sampled model gets the same lattice and
+    shifts at every c' (common random numbers), so its bound is a fixed
+    function of c' too. ``_covering_root`` brackets the root of that function
+    to ``ROOT_XTOL`` and c' is the covering end of the bracket. Falls back to
+    the classical value, which always covers.
     """
     _require_standardized(model)
     if not (0.0 < alpha < 1.0):
@@ -168,27 +164,17 @@ def improved_critical_value(model: CorrelationModel, alpha: float,
     hi = sidak_critical_value(alpha, n)
     lo = inv_std_normal_cdf(1.0 - alpha / 2.0)
 
-    def certified(value: float) -> Estimate:
-        return symmetric_rect_prob(model, ThresholdVector.constant(n, value), budget, key)
-
     def gap(value: float) -> float:
-        return certified(value).lower_bound - target
+        bound = symmetric_rect_prob(model, ThresholdVector.constant(n, value), budget, key)
+        return bound.lower_bound - target
 
-    first = certified(lo)
-    if first.lower_bound >= target:
+    gap_lo = gap(lo)
+    if gap_lo >= 0.0:
         return lo
     gap_hi = gap(hi)
     if gap_hi < 0.0:
         return hi  # conservative fallback: the classical value always covers
-    if first.method != METHOD_QMC:
-        return _covering_root(gap, lo, hi, first.lower_bound - target, gap_hi)
-    while hi - lo > BISECTION_RESOLUTION:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _covering_root(gap, lo, hi, gap_lo, gap_hi)
 
 
 def _covering_root(gap, lo: float, hi: float, gap_lo: float, gap_hi: float) -> float:
@@ -197,7 +183,8 @@ def _covering_root(gap, lo: float, hi: float, gap_lo: float, gap_hi: float) -> f
     Regula falsi with the Illinois modification (Dowell & Jarratt 1971): the
     end that stays put twice in a row has its gap halved, so both ends close
     in superlinearly on an increasing gap. Every step keeps gap(hi) >= 0, so
-    the returned hi covers whatever the step count; at most 100 steps.
+    the returned hi covers whatever the step count, also where a sampled
+    bound is not monotone or jumps; at most 100 steps.
     ``scipy.optimize.brentq`` would do as well, but importing
     ``scipy.optimize`` adds about 21 MB to the process.
     """

@@ -318,3 +318,13 @@ class TestColdStart:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=120, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_three_dimensional_oracle_skips_integrate_and_optimize(self):
+        code = ("import sys, numpy as np; from gcilab.mvnprob import oracle_region_prob; "
+                "oracle_region_prob(np.eye(3), -np.ones(3), np.ones(3)); "
+                "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') "
+                "if m in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=str(Path(gcilab.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "[]"

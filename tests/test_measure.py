@@ -15,7 +15,7 @@ from gcilab.convexgeom import (
     random_symmetric_polygon,
     random_unconditional_hpolytope,
 )
-from gcilab.errors import BudgetTooSmall, DimensionMismatch
+from gcilab.errors import BudgetTooSmall, DimensionMismatch, InvalidParameters
 from gcilab.gaussmodel import ThresholdVector, from_covariance, product_model, random_correlation
 from gcilab.measure import (
     fiber_measure,
@@ -222,6 +222,14 @@ class TestFiberMeasure:
         expect = oracles.interval_prob_erfc(lo, hi)
         assert fiber_measure(p, 1.0).value == pytest.approx(expect, rel=1e-12)
         assert fiber_measure(p, -1.0).value == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_abscissa_is_rejected(self, s):
+        # A NaN once sliced a band to the whole line (measure 1) and a polygon to nothing.
+        band = SymmetricBand(random_correlation(2, 2, 3), ThresholdVector([1.0, 1.5]))
+        for body in (Polygon2D.box(1.0, 2.0), band):
+            with pytest.raises(InvalidParameters):
+                fiber_measure(body, s)
 
     def test_band_dimension_guard(self):
         model = random_correlation(3, 3, 1)

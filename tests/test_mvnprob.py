@@ -579,6 +579,41 @@ class TestForkSafety:
         assert pickle.loads(data) == est
 
 
+class TestThreeDimensionalOraclePins:
+    """d = 3 oracle values pinned as recorded when scipy's adaptive quad integrated the layers."""
+
+    CASES = [  # body, arguments, value
+        ("hpoly", (11, 0), "0x1.b6a4a9646eb30p-2"),  # seed, extra: 6 facets
+        ("hpoly", (12, 1), "0x1.abf582ff50d7ep-2"),  # 14 facets
+        ("hpoly", (13, 2), "0x1.4d81ede3ac0c9p-2"),  # 22 facets
+        ("band", (4, 21, None), "0x1.8bbdaf7a6bc53p-2"),  # n, seed, index of a -inf bound
+        ("band", (5, 22, 1), "0x1.96c3d8c900790p-2"),
+        ("band", (6, 23, None), "0x1.747f89831345ep-2"),
+        ("band", (7, 24, None), "0x1.09e56c6797b96p-2"),
+        ("kinks", (), "0x1.606716e2929dcp-1"),  # the region of test_three_dimensional_vertex_kinks
+    ]
+
+    @staticmethod
+    def _region(body, args):
+        if body == "hpoly":
+            poly = random_unconditional_hpolytope(args[0], dim=3, extra=args[1])
+            return poly.normals, np.full(len(poly.offsets), -np.inf), poly.offsets
+        if body == "band":
+            n, seed, minus_inf = args
+            c = np.linspace(0.7, 2.1, n)
+            lo = -c
+            if minus_inf is not None:
+                lo[minus_inf] = -np.inf
+            return random_correlation(n, 3, seed).factor_rows, lo, c
+        return (random_correlation(3, 3, 208).factor_rows,
+                [-2.39928877, -1.80025343, -0.75676462], [1.5050067, 2.33846238, 2.0380234])
+
+    @pytest.mark.parametrize("k", range(len(CASES)))
+    def test_pinned_value(self, k):
+        body, args, value = self.CASES[k]
+        assert abs(oracle_region_prob(*self._region(body, args)) - float.fromhex(value)) <= 1e-12
+
+
 class TestOracleBlocks:
     """The d = 3 vertex search, ORACLE_BLOCK's one user, does not depend on its block size."""
 
@@ -707,8 +742,8 @@ class TestOracle:
 
     @pytest.mark.parametrize("n", [20, 40])
     def test_large_rank_two_bands(self, n):
-        # Hundreds of pairwise crossings, more breakpoints than scipy's quad
-        # accepts (it raises ValueError past its subinterval limit).
+        # Hundreds of pairwise crossings: more breakpoints than an adaptive
+        # quadrature with a subinterval limit, such as scipy's quad, accepts.
         m = random_correlation(n, 2, 900 + n)
         c = np.random.default_rng(n).uniform(0.8, 3.0, size=n)
         oracle_est = rect_prob(m, -c, c)
@@ -717,7 +752,7 @@ class TestOracle:
 
     def test_three_dimensional_vertex_kinks(self):
         # The layer mass has kinks at the vertices' first coordinates; unless
-        # they are breakpoints, quad's error estimate misses them (1.5e-6 here).
+        # they are panel edges, the layer integral misses them (5.3e-8 here).
         m = random_correlation(3, 3, 208)
         lo = np.array([-2.39928877, -1.80025343, -0.75676462])
         hi = np.array([1.5050067, 2.33846238, 2.0380234])

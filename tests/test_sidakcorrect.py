@@ -11,7 +11,7 @@ from gcilab.errors import NotStandardized, OutOfRange
 from gcilab.gaussmodel import equicorrelated, from_covariance, random_correlation
 from gcilab.ineqlab import sidak_ratio
 from gcilab.gaussmodel import ThresholdVector
-from gcilab.mvnprob import oracle_region_prob
+from gcilab.mvnprob import oracle_region_prob, symmetric_rect_prob
 from gcilab.sidakcorrect import (
     ROOT_XTOL,
     _covering_root,
@@ -177,6 +177,24 @@ class TestImprovedCriticalValue:
                         0.5, sidak_critical_value(alpha, k) + 1.0, xtol=1e-10)
         assert c_star <= cv <= c_star + 1e-5
         assert coverage(cv) >= 1.0 - alpha
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sampled_root_is_bracketed_to_root_xtol(self, seed):
+        # Sampled models read the bound at one key drawn from the seed (common
+        # random numbers): c' reaches 1 - alpha and c' - ROOT_XTOL does not.
+        k, alpha = 4 + 2 * seed, 0.05 if seed % 2 else 0.1
+        model = random_correlation(k, 3 + seed % 2, seed + 1200)
+        key = int(np.random.SeedSequence(seed).generate_state(1)[0])
+
+        def bound(c):
+            est = symmetric_rect_prob(model, ThresholdVector.constant(k, c), 2 ** 13, key)
+            assert est.method == "qmc"
+            return est.lower_bound
+
+        cv = improved_critical_value(model, alpha, budget=2 ** 13, seed=seed)
+        assert cv < sidak_critical_value(alpha, k)
+        assert bound(cv) >= 1.0 - alpha
+        assert bound(cv - ROOT_XTOL) < 1.0 - alpha
 
 
 class TestCoveringRoot:
